@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pentagonal import closed_form_series, g_minus, g_plus
-from .series import TruncatedSeries, make_series
+from .series import TruncatedSeries, _div_binomial_inplace, make_series
 
 ENUMERATION_LIMIT = 45
 
@@ -102,19 +102,16 @@ def partitions_recurrence(n_max: int) -> PartitionTable:
 def partitions_oracle_dp(n_max: int) -> PartitionTable:
     """p(0..n_max) by accumulating one part size at a time.
 
-    Classic unbounded-knapsack table: after processing part k, entry n
-    counts partitions of n into parts <= k. Shares nothing with the
-    recurrence: no pentagonal numbers, no subtraction.
+    Divides 1 by (1 - x^k) for k = 1..n_max, the unbounded-knapsack
+    table: after part k, entry n counts partitions of n into parts <= k.
+    Shares nothing with the recurrence: no pentagonal numbers, no
+    subtraction.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     values = [1] + [0] * n_max
-    stop = n_max + 1
-    for k in range(1, stop):
-        # zip reads entry i-k just before entry i is updated, so parts
-        # of size k may repeat, which is exactly the unbounded count
-        for i, v in zip(range(k, stop), values):
-            values[i] += v
+    for k in range(1, n_max + 1):
+        _div_binomial_inplace(values, k, n_max)
     return PartitionTable(n_max, tuple(values))
 
 

@@ -10,7 +10,6 @@ semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from operator import add as _int_add, sub as _int_sub
 
 
@@ -140,8 +139,12 @@ def mul_binomial(a: TruncatedSeries, k: int, c: int) -> TruncatedSeries:
 
 def _div_binomial_inplace(coeffs: list[int], k: int, order: int) -> None:
     """coeffs /= (1 - x^k): q_i = a_i + q_(i-k), exact in the truncated ring."""
-    for r in range(min(k, order + 1)):
-        coeffs[r::k] = accumulate(coeffs[r::k])
+    if k > order:
+        return
+    # zip reads entry i-k just after it became q_(i-k) and just before
+    # entry i is updated, so one ascending pass builds the quotient
+    for i, q in zip(range(k, order + 1), coeffs):
+        coeffs[i] += q
 
 
 def div_binomial(a: TruncatedSeries, k: int) -> TruncatedSeries:
@@ -196,13 +199,26 @@ def to_sparse_json(s: TruncatedSeries) -> dict:
 
 
 def series_from_json(obj: dict) -> TruncatedSeries:
-    """Parse either the dense or the sparse schema."""
+    """Parse either the dense or the sparse schema.
+
+    A sparse term whose exponent is negative, exceeds the order or
+    repeats an earlier one raises ``ValueError``.
+    """
     order = int(obj["order"])
     if "coeffs" in obj:
         return _wrap([int(c) for c in obj["coeffs"]], order)
     out = [0] * (order + 1)
+    seen: set[int] = set()
     for term in obj["terms"]:
-        out[int(term["exp"])] = int(term["coeff"])
+        e = int(term["exp"])
+        if e < 0:
+            raise ValueError(f"term exponent {e} is negative")
+        if e > order:
+            raise ValueError(f"term exponent {e} exceeds order {order}")
+        if e in seen:
+            raise ValueError(f"duplicate term exponent {e}")
+        seen.add(e)
+        out[e] = int(term["coeff"])
     return _wrap(out, order)
 
 

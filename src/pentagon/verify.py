@@ -7,17 +7,26 @@ unity every factor with index divisible by d vanishes, so the partial
 product over k <= m has that root with multiplicity floor(m/d). Both
 facts are checked directly, the cascade in exact integers and the roots
 in floating point with a scaled tolerance.
+
+One pass of the cascade serves every consumer: ``division_cascade``
+fingerprints each quotient, ``cascade_quotient`` stops at the step it
+is asked for, and ``full_verification`` compares the sampled quotients
+with the remaining products as exact coefficient tuples. Those products
+come from one descending sweep of binomial multiplications that ends at
+the full product, and each root's partial products come from one
+running product over its factors.
 """
 
 from __future__ import annotations
 
 import cmath
 import hashlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd, pi
 
 from .pentagonal import closed_form_series
-from .series import TruncatedSeries, div_binomial, partial_product, product_range
+from .series import TruncatedSeries, div_binomial, mul_binomial, product_range
 
 
 def series_fingerprint(s: TruncatedSeries) -> str:
@@ -40,6 +49,14 @@ class CascadeReport:
     final_is_unity: bool
 
 
+def _cascade(series: TruncatedSeries) -> Iterator[TruncatedSeries]:
+    """The series, then its quotient by (1 - x^k) for k = 1..order in turn."""
+    yield series
+    for k in range(1, series.order + 1):
+        series = div_binomial(series, k)
+        yield series
+
+
 def division_cascade(order: int) -> CascadeReport:
     """Divide the closed form by (1 - x^k) for k = 1..order, in order.
 
@@ -50,10 +67,10 @@ def division_cascade(order: int) -> CascadeReport:
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    q = closed_form_series(order)
+    quotients = _cascade(closed_form_series(order))
+    q = next(quotients)
     steps = []
-    for k in range(1, order + 1):
-        q = div_binomial(q, k)
+    for k, q in enumerate(quotients, 1):
         steps.append(CascadeStep(k, series_fingerprint(q), True))
     unity = (1,) + (0,) * order
     return CascadeReport(order, tuple(steps), q.coeffs == unity)
@@ -61,9 +78,9 @@ def division_cascade(order: int) -> CascadeReport:
 
 def cascade_quotient(order: int, upto_k: int) -> TruncatedSeries:
     """The quotient after dividing out factors 1..upto_k, for spot checks."""
-    q = closed_form_series(order)
-    for k in range(1, upto_k + 1):
-        q = div_binomial(q, k)
+    for k, q in enumerate(_cascade(closed_form_series(order))):
+        if k >= upto_k:
+            break
     return q
 
 
@@ -99,6 +116,20 @@ def primitive_root_entries(d: int) -> list[RootEntry]:
     return [RootEntry(d, j) for j in range(1, d + 1) if gcd(j, d) == 1]
 
 
+def _running_root_product(d: int, j: int, m: int) -> Iterator[tuple[float, bool]]:
+    """(magnitude, is_zero) of the partial product over k <= n, for n = 1..m.
+
+    One running product at zeta = exp(2*pi*i*j/d); the values at n are
+    those ``eval_partial_product_at_root(d, j, n)`` returns.
+    """
+    prod = complex(1.0)
+    for n in range(1, m + 1):
+        idx = (j * n) % d
+        prod *= 1.0 - cmath.exp(2j * pi * idx / d)
+        magnitude = abs(prod)
+        yield magnitude, magnitude <= 1e-9 * n
+
+
 def eval_partial_product_at_root(d: int, j: int, m: int) -> tuple[float, bool]:
     """|prod_(k<=m)(1 - zeta^k)| at zeta = exp(2*pi*i*j/d).
 
@@ -110,12 +141,20 @@ def eval_partial_product_at_root(d: int, j: int, m: int) -> tuple[float, bool]:
         raise ValueError("d and m must both be >= 1")
     if gcd(j, d) != 1:
         raise ValueError(f"j = {j} is not coprime to d = {d}")
-    prod = complex(1.0)
-    for k in range(1, m + 1):
-        idx = (j * k) % d
-        prod *= 1.0 - cmath.exp(2j * pi * idx / d)
-    magnitude = abs(prod)
-    return magnitude, magnitude <= 1e-9 * m
+    for result in _running_root_product(d, j, m):
+        pass
+    return result
+
+
+def _first_root_mismatch(max_d: int, m_max: int) -> tuple[int, int, int, bool] | None:
+    """First (d, j, m, is_zero) whose zero test disagrees with m >= d."""
+    for d in range(1, max_d + 1):
+        for entry in primitive_root_entries(d):
+            running = _running_root_product(d, entry.j, m_max)
+            for m, (_, is_zero) in enumerate(running, 1):
+                if is_zero != (m >= d):
+                    return d, entry.j, m, is_zero
+    return None
 
 
 def _phi(d: int) -> int:
@@ -141,8 +180,17 @@ def full_verification(order: int, roots_max_d: int = 12) -> list[CheckResult]:
         raise ValueError(f"roots_max_d must be >= 1, got {roots_max_d}")
     results = []
 
+    # The remaining products after the sampled steps and the full
+    # product, built from 1 by multiplication in one descending sweep.
+    sampled = [m for m in (1, 5, 50) if m <= order]
+    product = product_range(sampled[-1] + 1, order, order)
+    rests = {sampled[-1]: product}
+    for k in range(sampled[-1], 0, -1):
+        product = mul_binomial(product, k, -1)
+        if k - 1 in sampled:
+            rests[k - 1] = product
+
     closed = closed_form_series(order)
-    product = partial_product(order, order)
     if closed.coeffs == product.coeffs:
         results.append(CheckResult(
             "closed form equals product", True, f"order {order}"))
@@ -153,39 +201,25 @@ def full_verification(order: int, roots_max_d: int = 12) -> list[CheckResult]:
             "closed form equals product", False,
             f"first mismatch at x^{e}: closed form {closed[e]}, product {product[e]}"))
 
-    report = division_cascade(order)
-    sampled = [m for m in (1, 5, 50) if m <= order]
     bad = None
-    for m in sampled:
-        rest = product_range(m + 1, order, order)
-        if report.steps[m - 1].fingerprint != series_fingerprint(rest):
+    for m, q in enumerate(_cascade(closed)):
+        if m in rests and q.coeffs != rests[m].coeffs:
             bad = m
             break
-    if report.final_is_unity and bad is None:
-        results.append(CheckResult(
-            "division cascade", True,
-            f"order {order}, final quotient 1, intermediates at {sampled}"))
-    elif bad is not None:
+    if bad is not None:
         results.append(CheckResult(
             "division cascade", False,
             f"quotient after step {bad} differs from the remaining product"))
+    elif q.coeffs == (1,) + (0,) * order:
+        results.append(CheckResult(
+            "division cascade", True,
+            f"order {order}, final quotient 1, intermediates at {sampled}"))
     else:
         results.append(CheckResult(
             "division cascade", False, "final quotient is not 1"))
 
     m_max = 2 * roots_max_d
-    mismatch = None
-    for d in range(1, roots_max_d + 1):
-        for entry in primitive_root_entries(d):
-            for m in range(1, m_max + 1):
-                _, is_zero = eval_partial_product_at_root(d, entry.j, m)
-                if is_zero != (m >= d):
-                    mismatch = (d, entry.j, m, is_zero)
-                    break
-            if mismatch:
-                break
-        if mismatch:
-            break
+    mismatch = _first_root_mismatch(roots_max_d, m_max)
     count_bad = next(
         (m for m in range(1, 51)
          if sum(_phi(d) * root_multiplicity(d, m) for d in range(1, m + 1))

@@ -195,3 +195,40 @@ def test_format_series_rendering():
 
 def test_nonzero_terms():
     assert make_series([1, 0, -2], 4).nonzero_terms() == [(0, 1), (2, -2)]
+
+
+def test_div_binomial_at_order_boundaries():
+    a = make_series([1, 2, 3], 2)
+    # k == order: only the top coefficient picks up q_0
+    assert div_binomial(a, 2).coeffs == (1, 2, 4)
+    # k > order: (1 - x^k) is 1 in the truncated ring
+    assert div_binomial(a, 3).coeffs == a.coeffs
+    assert div_binomial(a, 50).coeffs == a.coeffs
+    # order 0 holds only the constant term
+    assert div_binomial(make_series([5], 0), 1).coeffs == (5,)
+
+
+def test_json_rejects_negative_exponent():
+    # used to wrap round to the top coefficient, x^order
+    with pytest.raises(ValueError, match="exponent -1 is negative"):
+        series_from_json({"order": 3, "terms": [{"exp": -1, "coeff": "5"}]})
+
+
+def test_json_rejects_exponent_beyond_order():
+    # used to surface as a bare IndexError
+    with pytest.raises(ValueError, match="exponent 4 exceeds order 3"):
+        series_from_json({"order": 3, "terms": [{"exp": 4, "coeff": "5"}]})
+
+
+def test_json_rejects_duplicate_exponent():
+    # used to keep the last value silently
+    terms = [{"exp": 2, "coeff": "5"}, {"exp": 2, "coeff": "7"}]
+    with pytest.raises(ValueError, match="duplicate term exponent 2"):
+        series_from_json({"order": 3, "terms": terms})
+
+
+@given(st.integers(0, 24), st.integers(1, 100), st.booleans())
+def test_json_rejects_any_exponent_outside_the_order(order, offset, below):
+    exp = -offset if below else order + offset
+    with pytest.raises(ValueError):
+        series_from_json({"order": order, "terms": [{"exp": exp, "coeff": "1"}]})

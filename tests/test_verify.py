@@ -1,14 +1,24 @@
 """Division cascade, root multiplicities, and the bundled check suite."""
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from pentagon.series import make_series, one, partial_product, product_range
+import pentagon.verify
+from pentagon.series import (
+    div_binomial,
+    make_series,
+    mul_binomial,
+    one,
+    partial_product,
+    product_range,
+)
 from pentagon.verify import (
     CheckResult,
     RootEntry,
+    _running_root_product,
     cascade_quotient,
     division_cascade,
     eval_partial_product_at_root,
@@ -164,3 +174,62 @@ def test_partial_product_value_at_one_is_zero_like():
     # summing coefficients evaluates the polynomial at x = 1
     series = partial_product(8, 36)
     assert sum(series.coeffs) == 0
+
+
+def test_full_verification_reports_a_corrupted_quotient(monkeypatch):
+    def corrupt_step_5(a, k):
+        q = div_binomial(a, k)
+        if k != 5:
+            return q
+        coeffs = list(q.coeffs)
+        coeffs[7] += 1
+        return make_series(coeffs, q.order)
+
+    monkeypatch.setattr(pentagon.verify, "div_binomial", corrupt_step_5)
+    closed, cascade, roots = full_verification(60, 6)
+    assert closed.passed and roots.passed
+    assert not cascade.passed
+    assert cascade.detail == "quotient after step 5 differs from the remaining product"
+
+
+def test_full_verification_reports_a_corrupted_product(monkeypatch):
+    def corrupt_last_factor(a, k, c):
+        p = mul_binomial(a, k, c)
+        if k != 1:
+            return p
+        coeffs = list(p.coeffs)
+        coeffs[4] += 1
+        return make_series(coeffs, p.order)
+
+    monkeypatch.setattr(pentagon.verify, "mul_binomial", corrupt_last_factor)
+    closed, cascade, roots = full_verification(60, 6)
+    assert cascade.passed and roots.passed
+    assert not closed.passed
+    assert closed.detail == "first mismatch at x^4: closed form 0, product 1"
+
+
+def test_full_verification_divides_once_per_factor_and_hashes_nothing(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(pentagon.verify, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(pentagon.verify, name, wrapper)
+
+    counted("series_fingerprint")
+    counted("div_binomial")
+    assert all(c.passed for c in full_verification(300, 6))
+    assert calls["series_fingerprint"] == 0
+    assert calls["div_binomial"] == 300
+
+
+def test_eval_is_the_running_product_at_m():
+    for d in range(1, 13):
+        for entry in primitive_root_entries(d):
+            running = list(_running_root_product(d, entry.j, 24))
+            for m in range(1, 25):
+                assert eval_partial_product_at_root(d, entry.j, m) == running[m - 1]
