@@ -15,7 +15,13 @@ from typing import IO
 
 from .partitions import partitions_recurrence
 from .pentagonal import pentagonal_pairs_upto
-from .series import format_series, partial_product, to_dense_json, to_sparse_json
+from .series import (
+    format_series,
+    make_series,
+    partial_product,
+    to_dense_json,
+    to_sparse_json,
+)
 from .telescope import (
     PREFIX_TERMS,
     DerivationTrace,
@@ -52,24 +58,12 @@ def tail_name(position: int) -> str:
     return f"T{position + 1}"
 
 
-def _monomial_text(exponent: int, coeff: int) -> str:
-    if exponent == 0:
-        return str(abs(coeff))
-    body = "x" if exponent == 1 else f"x^{exponent}"
-    return body if abs(coeff) == 1 else f"{abs(coeff)}{body}"
-
-
-def _identity_line(variant: int, prefix: tuple[tuple[int, int], ...]) -> str:
-    parts = []
-    for exponent, coeff in prefix:
-        body = _monomial_text(exponent, coeff)
-        if not parts:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    head_sign = initial_tail(variant).contribution_sign
-    parts.append(f"+ {tail_name(0)}" if head_sign > 0 else f"- {tail_name(0)}")
-    return "s = " + " ".join(parts)
+def _identity_line(variant: int) -> str:
+    terms = dict(PREFIX_TERMS[variant])
+    order = max(terms)
+    prefix = make_series([terms.get(e, 0) for e in range(order + 1)], order)
+    sign = "+" if initial_tail(variant).contribution_sign > 0 else "-"
+    return f"s = {format_series(prefix)} {sign} {tail_name(0)}"
 
 
 def _equation_line(position: int, record: EmissionRecord) -> str:
@@ -174,7 +168,7 @@ def _cmd_telescope(args: argparse.Namespace, out: IO[str]) -> int:
             _write_json(payload, out)
         return 0
 
-    out.write(_identity_line(args.variant, PREFIX_TERMS[args.variant]) + "\n")
+    out.write(_identity_line(args.variant) + "\n")
     for position, record in enumerate(records):
         out.write(_equation_line(position, record) + "\n")
     if trace is not None:
@@ -311,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "csv"):
-        args.csv = False
     if args.subcommand == "telescope" and args.order is not None and args.order < 2:
         parser.error("telescope --order must be >= 2")
     if args.subcommand == "verify" and args.order < 2:

@@ -9,6 +9,7 @@ semantics.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from operator import add as _int_add, sub as _int_sub
 
@@ -198,19 +199,27 @@ def to_sparse_json(s: TruncatedSeries) -> dict:
     }
 
 
+def _json_int(value: object, field: str) -> int:
+    # not int(value): it truncates 2.9, takes True as 1 and reads "1_0" and " 1"
+    if type(value) is int or (
+            isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value)):
+        return int(value)
+    raise ValueError(f"{field}: expected an int or a decimal string, got {value!r}")
+
+
 def series_from_json(obj: dict) -> TruncatedSeries:
     """Parse either the dense or the sparse schema.
 
-    A sparse term whose exponent is negative, exceeds the order or
-    repeats an earlier one raises ``ValueError``.
+    Every number must be an int or a decimal string, and sparse exponents
+    lie in 0..order without repeats; anything else raises ``ValueError``.
     """
-    order = int(obj["order"])
+    order = _json_int(obj["order"], "order")
     if "coeffs" in obj:
-        return _wrap([int(c) for c in obj["coeffs"]], order)
+        return _wrap([_json_int(c, "coeffs") for c in obj["coeffs"]], order)
     out = [0] * (order + 1)
     seen: set[int] = set()
     for term in obj["terms"]:
-        e = int(term["exp"])
+        e = _json_int(term["exp"], "exp")
         if e < 0:
             raise ValueError(f"term exponent {e} is negative")
         if e > order:
@@ -218,7 +227,7 @@ def series_from_json(obj: dict) -> TruncatedSeries:
         if e in seen:
             raise ValueError(f"duplicate term exponent {e}")
         seen.add(e)
-        out[e] = int(term["coeff"])
+        out[e] = _json_int(term["coeff"], "coeff")
     return _wrap(out, order)
 
 

@@ -10,13 +10,16 @@ first binomial factor off every term and recombining like powers leaves
 two monomials plus a tail of the same shape one stage further along.
 Variant 1 starts from the prefix 1 - x and emits with mixed signs;
 variant 2 starts from 1 - x - x^2, carries bare heads, and emits both
-monomials with the same sign. Every step here is replayed numerically
-in the truncated ring, never taken on faith.
+monomials with the same sign. Every step is replayed numerically in
+the truncated ring, never taken on faith, by one verified-stage loop
+that both runners share and that expands each tail once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 from operator import add as _int_add
 
 from .pentagonal import g_minus
@@ -186,15 +189,14 @@ def expand_tail(t: TailFamily, order: int) -> TruncatedSeries:
     return TruncatedSeries(order, tuple(acc))
 
 
-def reduction_identity_holds(
-    t: TailFamily,
-    record: EmissionRecord,
-    nxt: TailFamily,
-    order: int,
-) -> bool:
-    """Exact check of tail = s1*x^e1 + s2*x^e2 - next, in the truncated ring."""
-    lhs = expand_tail(t, order)
-    rhs = [-c for c in expand_tail(nxt, order).coeffs]
+def _identity_holds(lhs: TruncatedSeries, record: EmissionRecord,
+                    nxt_expansion: TruncatedSeries) -> bool:
+    """tail = s1*x^e1 + s2*x^e2 - next, at the order of ``lhs``.
+
+    A longer ``nxt_expansion`` is cut to that order, which is exact.
+    """
+    order = lhs.order
+    rhs = [-c for c in nxt_expansion.coeffs[: order + 1]]
     s1, s2 = record.tail_signs
     if record.first_exponent <= order:
         rhs[record.first_exponent] += s1
@@ -203,24 +205,43 @@ def reduction_identity_holds(
     return tuple(rhs) == lhs.coeffs
 
 
+def reduction_identity_holds(t: TailFamily, record: EmissionRecord,
+                             nxt: TailFamily, order: int) -> bool:
+    """Exact check of tail = s1*x^e1 + s2*x^e2 - next, in the truncated ring."""
+    return _identity_holds(expand_tail(t, order), record, expand_tail(nxt, order))
+
+
+def _step_order(t: TailFamily, order: int | None) -> int:
+    # By default, deep enough to see one full term of the next tail, not zeros.
+    return g_minus(t.stage + 2) + 5 if order is None else order
+
+
 def verify_step(t: TailFamily, order: int | None = None) -> bool:
-    """Replay one reduction step and check its identity exactly.
-
-    The default order reaches past the next tail's second emission
-    exponent, so the check always sees at least one full term of the
-    next tail rather than comparing zeros.
-    """
-    if order is None:
-        order = g_minus(t.stage + 2) + 5
+    """Replay one reduction step and check its identity exactly."""
     record, nxt = reduce_step(t)
-    return reduction_identity_holds(t, record, nxt, order)
+    return reduction_identity_holds(t, record, nxt, _step_order(t, order))
 
 
-def replay_stages(
-    variant: int,
-    stages: int,
-    order: int | None = None,
-) -> list[EmissionRecord]:
+def _verified_stages(t: TailFamily, order: int | None
+                     ) -> Iterator[tuple[EmissionRecord, TailFamily]]:
+    """Reduce from ``t`` without end, yielding each checked (record, next tail).
+
+    Each tail is expanded once, at its step order, for both of its steps.
+    """
+    lhs = expand_tail(t, _step_order(t, order))
+    while True:
+        record, nxt = reduce_step(t)
+        nxt_expansion = expand_tail(nxt, _step_order(nxt, order))
+        if not _identity_holds(lhs, record, nxt_expansion):
+            raise StageVerificationError(
+                f"variant {t.variant} stage {t.stage} failed its identity "
+                f"check at order {lhs.order}")
+        yield record, nxt
+        t, lhs = nxt, nxt_expansion
+
+
+def replay_stages(variant: int, stages: int,
+                  order: int | None = None) -> list[EmissionRecord]:
     """Run a fixed number of reduction steps, verifying each one.
 
     With order=None every step is checked at its own default order;
@@ -228,16 +249,8 @@ def replay_stages(
     """
     if stages < 1:
         raise ValueError(f"stages must be >= 1, got {stages}")
-    t = initial_tail(variant)
-    records: list[EmissionRecord] = []
-    for _ in range(stages):
-        if not verify_step(t, order):
-            raise StageVerificationError(
-                f"variant {variant} stage {t.stage} failed its identity check"
-            )
-        record, t = reduce_step(t)
-        records.append(record)
-    return records
+    steps = _verified_stages(initial_tail(variant), order)
+    return [record for record, _ in islice(steps, stages)]
 
 
 def run_telescope(variant: int, order: int) -> DerivationTrace:
@@ -245,31 +258,15 @@ def run_telescope(variant: int, order: int) -> DerivationTrace:
 
     Steps run until the next emission's smaller exponent would exceed
     the order, which also bounds the residual tail's leading exponent.
-    Each expansion is computed once and reused as the next step's
-    left-hand side.
     """
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
     t = initial_tail(variant)
+    steps = _verified_stages(t, order)
     emissions: list[EmissionRecord] = []
-    lhs = expand_tail(t, order)
     while t.leading_exponent <= order:
-        record, nxt = reduce_step(t)
-        nxt_expansion = expand_tail(nxt, order)
-        rhs = [-c for c in nxt_expansion.coeffs]
-        s1, s2 = record.tail_signs
-        if record.first_exponent <= order:
-            rhs[record.first_exponent] += s1
-        if record.second_exponent <= order:
-            rhs[record.second_exponent] += s2
-        if tuple(rhs) != lhs.coeffs:
-            raise StageVerificationError(
-                f"variant {variant} stage {t.stage} failed its identity "
-                f"check at order {order}"
-            )
+        record, t = next(steps)
         emissions.append(record)
-        t = nxt
-        lhs = nxt_expansion
     return DerivationTrace(
         variant=variant,
         order=order,

@@ -23,6 +23,7 @@ import cmath
 import hashlib
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cache
 from math import gcd, pi
 
 from .pentagonal import closed_form_series
@@ -157,8 +158,13 @@ def _first_root_mismatch(max_d: int, m_max: int) -> tuple[int, int, int, bool] |
     return None
 
 
-def _phi(d: int) -> int:
-    return sum(1 for j in range(1, d + 1) if gcd(j, d) == 1)
+@cache
+def _multiplicity_count_mismatch() -> int | None:
+    """First m <= 50 where phi(d) * floor(m/d) summed over d <= m is not m(m+1)/2."""
+    phi = [0] + [sum(gcd(j, d) == 1 for j in range(1, d + 1)) for d in range(1, 51)]
+    return next((m for m in range(1, 51)
+                 if sum(phi[d] * root_multiplicity(d, m) for d in range(1, m + 1))
+                 != m * (m + 1) // 2), None)
 
 
 @dataclass(frozen=True)
@@ -220,12 +226,7 @@ def full_verification(order: int, roots_max_d: int = 12) -> list[CheckResult]:
 
     m_max = 2 * roots_max_d
     mismatch = _first_root_mismatch(roots_max_d, m_max)
-    count_bad = next(
-        (m for m in range(1, 51)
-         if sum(_phi(d) * root_multiplicity(d, m) for d in range(1, m + 1))
-         != m * (m + 1) // 2),
-        None,
-    )
+    count_bad = _multiplicity_count_mismatch()
     if mismatch is None and count_bad is None:
         results.append(CheckResult(
             "root structure", True,

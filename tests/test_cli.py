@@ -128,6 +128,17 @@ def test_telescope_stages_json(capsys):
     assert "series" not in payload
 
 
+@pytest.mark.parametrize("mode", (["--order", "60"], ["--stages", "3"],
+                                  ["--stages", "3", "--order", "60"], ["--json"]))
+def test_telescope_failed_step_exits_1(capsys, broken_reduce_step, mode):
+    for variant in ("1", "2"):
+        code = main(["telescope", "--variant", variant, *mode])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("verification failed: variant ")
+
+
 def test_partitions_text_and_csv(capsys):
     code, out = run_cli(capsys, "partitions", "--upto", "5")
     assert code == 0

@@ -227,6 +227,31 @@ def test_json_rejects_duplicate_exponent():
         series_from_json({"order": 3, "terms": terms})
 
 
+@pytest.mark.parametrize(("obj", "field"), [
+    # int() used to truncate these, so the first parsed as 2x at order 2
+    ({"order": 2.9, "terms": [{"exp": 1.7, "coeff": 2.5}]}, "order"),
+    ({"order": 2, "terms": [{"exp": 1.7, "coeff": "2"}]}, "exp"),
+    ({"order": 2, "terms": [{"exp": 1, "coeff": 2.5}]}, "coeff"),
+    ({"order": 2, "terms": [{"exp": 1, "coeff": True}]}, "coeff"),
+    ({"order": True, "coeffs": ["1", "2"]}, "order"),
+    ({"order": 1, "coeffs": ["1", "2.0"]}, "coeffs"),
+    ({"order": 1, "coeffs": ["1", " 2"]}, "coeffs"),
+    ({"order": 1, "coeffs": ["1", "1_0"]}, "coeffs"),
+    ({"order": 1, "coeffs": [1, None]}, "coeffs"),
+])
+def test_json_rejects_numbers_that_are_not_integers(obj, field):
+    with pytest.raises(ValueError, match=f"^{field}: expected an int"):
+        series_from_json(obj)
+
+
+def test_json_accepts_ints_and_signed_decimal_strings():
+    big = "-" + "9" * 60
+    parsed = series_from_json({"order": "2", "coeffs": [3, "+4", big]})
+    assert parsed.coeffs == (3, 4, int(big))
+    parsed = series_from_json({"order": 3, "terms": [{"exp": "3", "coeff": -2}]})
+    assert parsed.coeffs == (0, 0, 0, -2)
+
+
 @given(st.integers(0, 24), st.integers(1, 100), st.booleans())
 def test_json_rejects_any_exponent_outside_the_order(order, offset, below):
     exp = -offset if below else order + offset

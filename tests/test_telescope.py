@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pentagon.telescope
 from pentagon.pentagonal import closed_form_series, g_minus, g_plus
 from pentagon.series import format_series
 from pentagon.telescope import (
@@ -256,15 +257,34 @@ def test_replay_stages_counts_and_validation():
         replay_stages(1, 0)
 
 
-def test_replay_stages_detects_broken_step(monkeypatch):
-    import pentagon.telescope as telescope_module
+def test_replay_stages_detects_broken_step(broken_reduce_step):
+    for variant in (1, 2):
+        with pytest.raises(StageVerificationError):
+            replay_stages(variant, 2)
+        with pytest.raises(StageVerificationError):
+            replay_stages(variant, 2, 60)
+        with pytest.raises(StageVerificationError):
+            run_telescope(variant, 60)
 
-    def broken_verify(t, order=None):
-        return False
 
-    monkeypatch.setattr(telescope_module, "verify_step", broken_verify)
-    with pytest.raises(StageVerificationError):
-        telescope_module.replay_stages(1, 2)
+@pytest.mark.parametrize("variant", (1, 2))
+def test_every_tail_is_expanded_once(monkeypatch, variant):
+    expanded = []
+
+    def counted(t, order):
+        expanded.append(t.stage)
+        return expand_tail(t, order)
+
+    monkeypatch.setattr(pentagon.telescope, "expand_tail", counted)
+    first = initial_tail(variant).stage
+    for stages, order in ((7, 300), (7, None), (30, None)):
+        expanded.clear()
+        replay_stages(variant, stages, order)
+        assert expanded == list(range(first, first + stages + 1))
+    expanded.clear()
+    trace = run_telescope(variant, 600)
+    assert len(expanded) == len(trace.emissions) + 1
+    assert expanded == list(range(first, trace.residual.stage + 1))
 
 
 def test_residual_tail_is_beyond_order():

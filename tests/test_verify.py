@@ -227,6 +227,19 @@ def test_full_verification_divides_once_per_factor_and_hashes_nothing(monkeypatc
     assert calls["div_binomial"] == 300
 
 
+def test_multiplicity_count_is_checked_once(monkeypatch):
+    full_verification(2, 1)
+    full_verification(3, 2)
+    cached = pentagon.verify._multiplicity_count_mismatch
+    assert cached() is None
+    assert cached.cache_info().misses == 1
+    monkeypatch.setattr(pentagon.verify, "_multiplicity_count_mismatch", lambda: 7)
+    closed, cascade, roots = full_verification(60, 6)
+    assert closed.passed and cascade.passed
+    assert not roots.passed
+    assert roots.detail == "multiplicity count mismatch at m=7"
+
+
 def test_eval_is_the_running_product_at_m():
     for d in range(1, 13):
         for entry in primitive_root_entries(d):
