@@ -152,6 +152,9 @@ def _cmd_telescope(args: argparse.Namespace, out: IO[str]) -> int:
     except StageVerificationError as failure:
         print(f"verification failed: {failure}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(f"pentagon telescope: error: {exc}", file=sys.stderr)
+        return 2
 
     if args.json:
         if trace is not None:

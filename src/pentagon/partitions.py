@@ -2,17 +2,19 @@
 
 Inverting the sparse series gives the generating function of the
 partition numbers p(n), and the sparsity turns inversion into a
-recurrence with O(sqrt(n)) terms per value. Two independent oracles
-guard the recurrence: an unbounded-knapsack accumulation that never
-touches pentagonal numbers, and literal enumeration of partitions at
-small n. All arithmetic is exact.
+recurrence with O(sqrt(n)) terms per value. One sparse long division,
+reading its offsets from the pentagonal support, yields the
+coefficients that both the reciprocal series and the partition table
+wrap. Two independent oracles guard it: an unbounded-knapsack
+accumulation that never touches pentagonal numbers, and literal
+enumeration of partitions at small n. All arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pentagonal import closed_form_series, g_minus, g_plus
+from .pentagonal import pentagonal_terms_upto
 from .series import TruncatedSeries, _div_binomial_inplace, make_series
 
 ENUMERATION_LIMIT = 45
@@ -39,64 +41,45 @@ class PartitionTable:
         return self.max_n + 1
 
 
-def reciprocal_series(order: int) -> TruncatedSeries:
-    """The series r with closed_form * r = 1 at this order.
-
-    Long division against the sparse closed form: each new coefficient
-    cancels the lowest surviving term, walking the nonzero support only.
-    """
-    divisor = closed_form_series(order)
-    support = [(e, s) for e, s in divisor.nonzero_terms() if e >= 1]
-    q = [0] * (order + 1)
-    q[0] = 1
-    for i in range(1, order + 1):
-        acc = 0
-        for e, s in support:
-            if e > i:
-                break
-            if s > 0:
-                acc -= q[i - e]
-            else:
-                acc += q[i - e]
-        q[i] = acc
-    return make_series(q, order)
-
-
 def recurrence_support(n_max: int) -> list[tuple[int, int]]:
     """(offset, sign) pairs of the p(n) recurrence, ascending by offset.
 
-    The sign for pair index k is (-1)^(k-1), opposite to the sign the
-    exponents carry in the series itself, because these terms sit on the
-    inverse side of the identity.
+    The nonzero terms of the closed form above x^0, with their signs
+    flipped: these terms sit on the inverse side of the identity, so
+    the sign for pair index k is (-1)^(k-1).
     """
-    support: list[tuple[int, int]] = []
-    k = 1
-    while g_minus(k) <= n_max:
-        sign = 1 if k % 2 else -1
-        support.append((g_minus(k), sign))
-        if g_plus(k) <= n_max:
-            support.append((g_plus(k), sign))
-        k += 1
-    return support
+    return [(e, -s) for e, s in pentagonal_terms_upto(n_max)[1:]]
+
+
+def _reciprocal_coeffs(n: int) -> list[int]:
+    """q_0..q_n of 1 / closed form, by one sparse long division.
+
+    q_m is the signed sum of q_(m-e) over the recurrence offsets e <= m.
+    While q holds q_0..q_(m-1), q[-e] is q_(m-e), so each step sums two
+    lists of negative offsets, grown as m reaches each new offset.
+    """
+    signs = dict(recurrence_support(n))
+    added: list[int] = []
+    subtracted: list[int] = []
+    q = [1]
+    for m in range(1, n + 1):
+        if m in signs:
+            (added if signs[m] > 0 else subtracted).append(-m)
+        q.append(sum(map(q.__getitem__, added))
+                 - sum(map(q.__getitem__, subtracted)))
+    return q
+
+
+def reciprocal_series(order: int) -> TruncatedSeries:
+    """The series r with closed_form * r = 1 at this order."""
+    return make_series(_reciprocal_coeffs(order), order)
 
 
 def partitions_recurrence(n_max: int) -> PartitionTable:
     """p(0..n_max) via the sparse recurrence, O(n^1.5) integer additions."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    support = recurrence_support(n_max)
-    values = [1]
-    for n in range(1, n_max + 1):
-        acc = 0
-        for g, sign in support:
-            if g > n:
-                break
-            if sign > 0:
-                acc += values[n - g]
-            else:
-                acc -= values[n - g]
-        values.append(acc)
-    return PartitionTable(n_max, tuple(values))
+    return PartitionTable(n_max, tuple(_reciprocal_coeffs(n_max)))
 
 
 def partitions_oracle_dp(n_max: int) -> PartitionTable:

@@ -42,8 +42,6 @@ class PentagonalPair:
 
 def pentagonal_pair(n: int) -> PentagonalPair:
     """The nth exponent pair; n = 0 is rejected, the constant term has no index."""
-    if n < 1:
-        raise ValueError(f"pair index must be >= 1, got {n}")
     return PentagonalPair(n, g_minus(n), g_plus(n), -1 if n % 2 else 1)
 
 

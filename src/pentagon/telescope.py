@@ -246,10 +246,21 @@ def replay_stages(variant: int, stages: int,
 
     With order=None every step is checked at its own default order;
     raises StageVerificationError on the first exact-identity failure.
+    An explicit order must reach the leading exponent of the last
+    stage's next tail, or that stage would compare only zeros.
     """
     if stages < 1:
         raise ValueError(f"stages must be >= 1, got {stages}")
-    steps = _verified_stages(initial_tail(variant), order)
+    first = initial_tail(variant)
+    if order is not None:
+        t = first
+        for _ in range(stages):
+            _, t = reduce_step(t)
+        if order < t.leading_exponent:
+            raise ValueError(
+                f"stage {t.stage - 1} needs order >= {t.leading_exponent} "
+                f"(its next tail's leading exponent), got {order}")
+    steps = _verified_stages(first, order)
     return [record for record, _ in islice(steps, stages)]
 
 

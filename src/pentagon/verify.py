@@ -40,7 +40,6 @@ def series_fingerprint(s: TruncatedSeries) -> str:
 class CascadeStep:
     k: int
     fingerprint: str
-    all_integer: bool
 
 
 @dataclass(frozen=True)
@@ -61,8 +60,6 @@ def _cascade(series: TruncatedSeries) -> Iterator[TruncatedSeries]:
 def division_cascade(order: int) -> CascadeReport:
     """Divide the closed form by (1 - x^k) for k = 1..order, in order.
 
-    Every division is exact in the truncated ring, so all_integer is
-    true by construction; the flag documents the claim the report makes.
     Quotients are recorded as fingerprints, comparable against any
     independently built series.
     """
@@ -72,7 +69,7 @@ def division_cascade(order: int) -> CascadeReport:
     q = next(quotients)
     steps = []
     for k, q in enumerate(quotients, 1):
-        steps.append(CascadeStep(k, series_fingerprint(q), True))
+        steps.append(CascadeStep(k, series_fingerprint(q)))
     unity = (1,) + (0,) * order
     return CascadeReport(order, tuple(steps), q.coeffs == unity)
 

@@ -139,6 +139,14 @@ def test_telescope_failed_step_exits_1(capsys, broken_reduce_step, mode):
         assert captured.err.startswith("verification failed: variant ")
 
 
+def test_telescope_stages_order_below_floor_exits_2(capsys):
+    code = main(["telescope", "--variant", "1", "--stages", "8", "--order", "12"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "stage 8 needs order >= 126" in captured.err
+
+
 def test_partitions_text_and_csv(capsys):
     code, out = run_cli(capsys, "partitions", "--upto", "5")
     assert code == 0

@@ -12,7 +12,12 @@ from pentagon.partitions import (
     reciprocal_series,
     recurrence_support,
 )
-from pentagon.pentagonal import closed_form_series, g_minus, g_plus
+from pentagon.pentagonal import (
+    closed_form_series,
+    g_minus,
+    g_plus,
+    pentagonal_terms_upto,
+)
 from pentagon.series import mul, one
 
 
@@ -40,6 +45,8 @@ def test_recurrence_rejects_negative():
         partitions_recurrence(-1)
     with pytest.raises(ValueError):
         partitions_oracle_dp(-2)
+    with pytest.raises(ValueError):
+        recurrence_support(-1)
 
 
 def test_dp_examples():
@@ -112,6 +119,9 @@ def test_recurrence_support_is_sparse_and_sorted():
         k += 1
     assert sorted(expected) == offsets
     assert len(support) == 16
+    for n in range(401):
+        assert recurrence_support(n) == [
+            (e, -s) for e, s in pentagonal_terms_upto(n)[1:]]
 
 
 def test_recurrence_support_signs_alternate_in_pairs():
@@ -137,4 +147,6 @@ def test_support_size_grows_like_sqrt():
 @given(st.integers(0, 320))
 @settings(max_examples=30, deadline=None)
 def test_recurrence_dp_agree_sampled(n):
-    assert partitions_recurrence(n).values == partitions_oracle_dp(n).values
+    values = partitions_recurrence(n).values
+    assert values == partitions_oracle_dp(n).values
+    assert reciprocal_series(n).coeffs == values

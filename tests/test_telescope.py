@@ -257,6 +257,18 @@ def test_replay_stages_counts_and_validation():
         replay_stages(1, 0)
 
 
+@pytest.mark.parametrize("variant, last_stage, needed", ((1, 8, 126), (2, 9, 145)))
+def test_replay_stages_rejects_order_below_last_stage(monkeypatch, variant,
+                                                      last_stage, needed):
+    assert len(replay_stages(variant, 8, needed)) == 8
+    monkeypatch.setattr(pentagon.telescope, "expand_tail",
+                        lambda t, order: pytest.fail("a tail was expanded"))
+    for order in (12, needed - 1):
+        with pytest.raises(ValueError,
+                           match=f"stage {last_stage} needs order >= {needed}"):
+            replay_stages(variant, 8, order)
+
+
 def test_replay_stages_detects_broken_step(broken_reduce_step):
     for variant in (1, 2):
         with pytest.raises(StageVerificationError):
