@@ -66,6 +66,9 @@ def _wrap(coeffs: list[int], order: int) -> TruncatedSeries:
 
 def make_series(coeffs: list[int] | tuple[int, ...], order: int) -> TruncatedSeries:
     """Build a series from low-order coefficients, zero-filling up to x^order."""
+    bad = next((i for i, c in enumerate(coeffs) if type(c) is not int), None)
+    if bad is not None:
+        raise ValueError(f"coeffs[{bad}] must be an int, got {coeffs[bad]!r}")
     if len(coeffs) > order + 1:
         raise ValueError(
             f"{len(coeffs)} coefficients do not fit in order {order}"
@@ -83,6 +86,8 @@ def monomial(exponent: int, order: int, coeff: int = 1) -> TruncatedSeries:
     """coeff * x^exponent, or the zero series if the exponent exceeds the order."""
     if exponent < 0:
         raise ValueError(f"exponent must be >= 0, got {exponent}")
+    if type(coeff) is not int:
+        raise ValueError(f"coeff must be an int, got {coeff!r}")
     out = [0] * (order + 1)
     if exponent <= order:
         out[exponent] = coeff

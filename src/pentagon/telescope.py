@@ -20,7 +20,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
-from operator import add as _int_add
 
 from .pentagonal import g_minus
 from .series import TruncatedSeries, _mul_binomial_inplace
@@ -171,22 +170,23 @@ def reduce_step(t: TailFamily) -> tuple[EmissionRecord, TailFamily]:
 def expand_tail(t: TailFamily, order: int) -> TruncatedSeries:
     """Numerically expand the tail's defining sum modulo x^(order+1).
 
-    Terms are added while base + j*step <= order; later terms only
-    produce higher exponents, so stopping there is exact.
+    Inside-out (Horner): the sum is x^base * S_0, where S_j = 1 + x^step
+    * (1 - x^(p+j)) * S_(j+1) and p = product_start. S_j only appears as
+    x^(base + j*step) * S_j, so cutting it at degree order - base - j*step
+    loses only exponents above the order; the last term reaching the
+    order has J = (order - base) // step, where that cut leaves S_J = 1.
+    Without the bare head, the j = 0 term (the 1 of S_0) is dropped.
     """
-    acc = [0] * (order + 1)
-    prod = [1] + [0] * order
-    j = 0 if t.includes_bare_head else 1
-    factors_applied = 0
-    exponent = t.base + j * t.step
-    while exponent <= order:
-        while factors_applied < j:
-            _mul_binomial_inplace(prod, t.product_start + factors_applied, -1, order)
-            factors_applied += 1
-        acc[exponent:] = map(_int_add, acc[exponent:], prod[: order + 1 - exponent])
-        j += 1
-        exponent += t.step
-    return TruncatedSeries(order, tuple(acc))
+    depth = order - t.base
+    if depth < 0:
+        return TruncatedSeries(order, (0,) * (order + 1))
+    s = [1] + [0] * (depth % t.step)
+    for j in range(depth // t.step - 1, -1, -1):
+        _mul_binomial_inplace(s, t.product_start + j, -1, len(s) - 1)
+        s[:0] = [1] + [0] * (t.step - 1)
+    if not t.includes_bare_head:
+        s[0] -= 1
+    return TruncatedSeries(order, (0,) * t.base + tuple(s))
 
 
 def _identity_holds(lhs: TruncatedSeries, record: EmissionRecord,

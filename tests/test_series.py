@@ -47,6 +47,20 @@ def test_make_series_rejects_overflow_and_bad_order():
         TruncatedSeries(2, (1, 2))
 
 
+@pytest.mark.parametrize("coeffs, bad", (([1.5, True], r"coeffs\[0\]"),
+                                         ([1, True], r"coeffs\[1\]"),
+                                         ((0, 0, "2"), r"coeffs\[2\]")))
+def test_make_series_rejects_coefficients_that_are_not_ints(coeffs, bad):
+    with pytest.raises(ValueError, match=bad):
+        make_series(coeffs, 3)
+
+
+@pytest.mark.parametrize("coeff", (0.5, True, "1"))
+def test_monomial_rejects_a_coefficient_that_is_not_an_int(coeff):
+    with pytest.raises(ValueError, match="coeff must be an int"):
+        monomial(2, 3, coeff=coeff)
+
+
 def test_series_is_immutable():
     s = make_series([1, -1], 2)
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -91,6 +91,63 @@ def test_reduce_step_rejects_mismatched_product_start():
         reduce_step(crooked)
 
 
+def forward_tail(t: TailFamily, order: int) -> tuple[int, ...]:
+    """The defining sum of x^(base + j*step) * prod_(i = p .. p+j-1) (1 - x^i),
+    added term by term from j = 0 up, each product one factor longer."""
+    acc = [0] * (order + 1)
+    prod = [1] + [0] * order
+    j, exponent = 0, t.base
+    while exponent <= order:
+        if j > 0 or t.includes_bare_head:
+            for i in range(order + 1 - exponent):
+                acc[exponent + i] += prod[i]
+        k = t.product_start + j
+        for i in range(order, k - 1, -1):
+            prod[i] -= prod[i - k]
+        j += 1
+        exponent += t.step
+    return tuple(acc)
+
+
+@st.composite
+def tails_and_orders(draw):
+    tail = TailFamily(
+        variant=draw(st.integers(1, 2)),
+        stage=draw(st.integers(1, 40)),
+        base=draw(st.integers(1, 60)),
+        step=draw(st.integers(1, 12)),
+        product_start=draw(st.integers(1, 12)),
+        includes_bare_head=draw(st.booleans()),
+    )
+    return tail, draw(st.integers(0, 3 * tail.leading_exponent))
+
+
+@given(tails_and_orders())
+@settings(max_examples=300, deadline=None)
+def test_expand_tail_matches_forward_sum(tail_and_order):
+    tail, order = tail_and_order
+    expansion = expand_tail(tail, order)
+    assert expansion.order == order
+    assert expansion.coeffs == forward_tail(tail, order)
+
+
+@pytest.mark.parametrize("variant", (1, 2))
+def test_expand_tail_matches_forward_sum_on_every_stage(monkeypatch, variant):
+    expansions = []
+
+    def recorded(t, order):
+        expansions.append((t, order, expand_tail(t, order)))
+        return expansions[-1][2]
+
+    monkeypatch.setattr(pentagon.telescope, "expand_tail", recorded)
+    trace = run_telescope(variant, 1200)
+    assert [t.stage for t, _, _ in expansions] == list(
+        range(initial_tail(variant).stage, trace.residual.stage + 1))
+    for t, order, expansion in expansions:
+        assert order == 1200
+        assert expansion.coeffs == forward_tail(t, order)
+
+
 def test_expand_tail_frozen_values():
     assert expand_tail(initial_tail(1), 6).coeffs == (0, 0, 1, 0, 0, -1, 0)
     b = expand_tail(canonical_tail(1, 2), 11)
