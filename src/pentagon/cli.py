@@ -1,8 +1,10 @@
 """Command-line front end: expansion, traces, tables, verification.
 
 Every command writes deterministic output for a fixed set of flags, to
-stdout or to --out PATH. Exit codes: 0 success, 1 verification failure,
-2 usage error.
+stdout or to --out PATH. A command computes its result first and one
+renderer writes it as text, JSON or CSV, so --out PATH is opened only
+once there is a result to write. Exit codes: 0 success, 1 verification
+failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -10,8 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from typing import IO
+from typing import IO, Callable, Iterable, NamedTuple
 
 from .partitions import partitions_recurrence
 from .pentagonal import pentagonal_pairs_upto
@@ -24,7 +25,6 @@ from .series import (
 )
 from .telescope import (
     PREFIX_TERMS,
-    DerivationTrace,
     EmissionRecord,
     StageVerificationError,
     initial_tail,
@@ -34,21 +34,27 @@ from .telescope import (
 from .verify import full_verification
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer that is at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    value = _nonnegative_int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+class _Output(NamedTuple):
+    """A command's result. Each format is built only if it is written;
+    ``rows(sep)`` yields table rows with their fields joined by ``sep``."""
+
+    payload: Callable[[], dict]
+    lines: Callable[[], Iterable[str]] | None = None
+    rows: Callable[[str], Iterable[str]] | None = None
+    code: int = 0
 
 
 def tail_name(position: int) -> str:
@@ -84,121 +90,85 @@ def _emission_json(record: EmissionRecord) -> dict:
     }
 
 
-def _trace_json(trace: DerivationTrace) -> dict:
-    residual = trace.residual
-    return {
-        "variant": trace.variant,
-        "order": trace.order,
-        "prefix": [list(term) for term in trace.prefix],
-        "emissions": [_emission_json(r) for r in trace.emissions],
-        "residual": {
-            "stage": residual.stage,
-            "base": residual.base,
-            "step": residual.step,
-            "product_start": residual.product_start,
-            "leading_exponent": residual.leading_exponent,
-        },
-        "verified": True,
-        "series": to_dense_json(trace.reconstruct()),
-    }
-
-
-def _write_json(obj: dict, out: IO[str]) -> None:
-    json.dump(obj, out, indent=2)
-    out.write("\n")
-
-
-def _cmd_expand(args: argparse.Namespace, out: IO[str]) -> int:
+def _cmd_expand(args: argparse.Namespace) -> _Output:
     series = partial_product(max(args.order, 1), args.order)
-    if args.json:
-        _write_json(to_sparse_json(series), out)
-    elif args.csv:
-        for exponent, coeff in series.nonzero_terms():
-            out.write(f"{exponent},{coeff}\n")
-    else:
-        out.write(format_series(series) + "\n")
-    return 0
+    return _Output(
+        payload=lambda: to_sparse_json(series),
+        lines=lambda: [format_series(series)],
+        rows=lambda sep: (f"{e}{sep}{c}" for e, c in series.nonzero_terms()),
+    )
 
 
-def _cmd_pentagonals(args: argparse.Namespace, out: IO[str]) -> int:
+def _cmd_pentagonals(args: argparse.Namespace) -> _Output:
     pairs = pentagonal_pairs_upto(args.upto)
-    if args.json:
-        payload = {
+    return _Output(
+        payload=lambda: {
             "upto": args.upto,
             "pairs": [
                 {"n": p.n, "g_minus": p.g_minus, "g_plus": p.g_plus, "sign": p.sign}
                 for p in pairs
             ],
-        }
-        _write_json(payload, out)
-    elif args.csv:
-        for p in pairs:
-            out.write(f"{p.n},{p.g_minus},{p.g_plus},{p.sign}\n")
+        },
+        rows=lambda sep: (f"{p.n}{sep}{p.g_minus}{sep}{p.g_plus}{sep}{p.sign}"
+                          for p in pairs),
+    )
+
+
+def _cmd_telescope(args: argparse.Namespace) -> _Output:
+    if args.order is not None and args.stages is None:
+        trace = run_telescope(args.variant, args.order)
+        records = trace.emissions
     else:
-        for p in pairs:
-            out.write(f"{p.n} {p.g_minus} {p.g_plus} {p.sign}\n")
-    return 0
+        records = replay_stages(args.variant, args.stages or 5, args.order)
+        trace = None
 
+    def payload() -> dict:
+        head = {"variant": args.variant, "order": args.order}
+        body = {"prefix": [list(t) for t in PREFIX_TERMS[args.variant]],
+                "emissions": [_emission_json(r) for r in records]}
+        if trace is None:
+            return {**head, "stages": len(records), **body, "verified": True}
+        tail = trace.residual
+        residual = {"stage": tail.stage, "base": tail.base, "step": tail.step,
+                    "product_start": tail.product_start,
+                    "leading_exponent": tail.leading_exponent}
+        return {**head, **body, "residual": residual, "verified": True,
+                "series": to_dense_json(trace.reconstruct())}
 
-def _cmd_telescope(args: argparse.Namespace, out: IO[str]) -> int:
-    try:
-        if args.order is not None and args.stages is None:
-            trace = run_telescope(args.variant, args.order)
-            records = list(trace.emissions)
-        else:
-            stages = args.stages if args.stages is not None else 5
-            records = replay_stages(args.variant, stages, args.order)
-            trace = None
-    except StageVerificationError as failure:
-        print(f"verification failed: {failure}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"pentagon telescope: error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.json:
+    def lines() -> Iterable[str]:
+        yield _identity_line(args.variant)
+        for position, record in enumerate(records):
+            yield _equation_line(position, record)
         if trace is not None:
-            _write_json(_trace_json(trace), out)
-        else:
-            payload = {
-                "variant": args.variant,
-                "order": args.order,
-                "stages": len(records),
-                "prefix": [list(t) for t in PREFIX_TERMS[args.variant]],
-                "emissions": [_emission_json(r) for r in records],
-                "verified": True,
-            }
-            _write_json(payload, out)
-        return 0
+            yield "series: " + format_series(trace.reconstruct())
+        yield "verified: true"
 
-    out.write(_identity_line(args.variant) + "\n")
-    for position, record in enumerate(records):
-        out.write(_equation_line(position, record) + "\n")
-    if trace is not None:
-        out.write("series: " + format_series(trace.reconstruct()) + "\n")
-    out.write("verified: true\n")
-    return 0
+    return _Output(payload, lines)
 
 
-def _cmd_partitions(args: argparse.Namespace, out: IO[str]) -> int:
-    table = partitions_recurrence(args.upto)
-    if args.json:
-        payload = {"upto": args.upto, "values": [str(v) for v in table.values]}
-        _write_json(payload, out)
-    elif args.csv:
-        for n, value in enumerate(table.values):
-            out.write(f"{n},{value}\n")
-    else:
-        for n, value in enumerate(table.values):
-            out.write(f"{n} {value}\n")
-    return 0
+def _cmd_partitions(args: argparse.Namespace) -> _Output:
+    values = partitions_recurrence(args.upto).values
+    return _Output(
+        payload=lambda: {"upto": args.upto, "values": [str(v) for v in values]},
+        rows=lambda sep: (f"{n}{sep}{v}" for n, v in enumerate(values)),
+    )
 
 
-def _cmd_verify(args: argparse.Namespace, out: IO[str]) -> int:
+def _cmd_verify(args: argparse.Namespace) -> _Output:
     checks = full_verification(args.order, args.roots_max_d)
     failures = [c for c in checks if not c.passed]
-    if args.json:
-        payload = {
+
+    def lines() -> Iterable[str]:
+        for check in checks:
+            verdict = "PASS" if check.passed else "FAIL"
+            yield f"{verdict} {check.name} ({check.detail})"
+        if failures:
+            yield f"{len(failures)} of {len(checks)} checks failed"
+        else:
+            yield f"all {len(checks)} checks passed"
+
+    return _Output(
+        payload=lambda: {
             "order": args.order,
             "roots_max_d": args.roots_max_d,
             "checks": [
@@ -206,39 +176,24 @@ def _cmd_verify(args: argparse.Namespace, out: IO[str]) -> int:
                 for c in checks
             ],
             "passed": not failures,
-        }
-        _write_json(payload, out)
-    else:
-        for check in checks:
-            verdict = "PASS" if check.passed else "FAIL"
-            out.write(f"{verdict} {check.name} ({check.detail})\n")
-        if failures:
-            out.write(f"{len(failures)} of {len(checks)} checks failed\n")
-        else:
-            out.write(f"all {len(checks)} checks passed\n")
-    return 1 if failures else 0
+        },
+        lines=lines,
+        code=1 if failures else 0,
+    )
 
 
-def _cmd_bench(args: argparse.Namespace, out: IO[str]) -> int:
-    start = time.perf_counter()
-    table = partitions_recurrence(args.upto)
-    elapsed = time.perf_counter() - start
-    digits = len(str(table[args.upto]))
+def _render(args: argparse.Namespace, output: _Output, out: IO[str]) -> None:
     if args.json:
-        payload = {
-            "n_max": args.upto,
-            "seconds": round(elapsed, 6),
-            "entries": len(table),
-            "largest_digits": digits,
-        }
-        _write_json(payload, out)
+        json.dump(output.payload(), out, indent=2)
+        out.write("\n")
+        return
+    if args.csv:
+        lines = output.rows(",")
+    elif output.lines is not None:
+        lines = output.lines()
     else:
-        out.write(
-            f"partitions_recurrence({args.upto}) took {elapsed:.3f}s; "
-            f"table entries {len(table)}; p({args.upto}) has {digits} "
-            f"decimal digits\n"
-        )
-    return 0
+        lines = output.rows(" ")
+    out.writelines(line + "\n" for line in lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,7 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_formats(p: argparse.ArgumentParser, csv: bool) -> None:
+    def add_output(p: argparse.ArgumentParser,
+                   func: Callable[[argparse.Namespace], _Output], csv: bool) -> None:
+        p.set_defaults(func=func, csv=False)
         group = p.add_mutually_exclusive_group()
         group.add_argument("--json", action="store_true",
                            help="emit JSON instead of text")
@@ -262,45 +219,35 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write output to PATH instead of stdout")
 
     p = sub.add_parser("expand", help="expand the product at a given order")
-    p.add_argument("--order", type=_nonnegative_int, required=True,
+    p.add_argument("--order", type=_int_at_least(0), required=True,
                    help="truncation order N (series modulo x^(N+1))")
-    add_formats(p, csv=True)
-    p.set_defaults(func=_cmd_expand)
+    add_output(p, _cmd_expand, csv=True)
 
     p = sub.add_parser("pentagonals", help="list exponent pairs and signs")
-    p.add_argument("--upto", type=_nonnegative_int, required=True,
+    p.add_argument("--upto", type=_int_at_least(0), required=True,
                    help="list pairs whose smaller exponent is <= this bound")
-    add_formats(p, csv=True)
-    p.set_defaults(func=_cmd_pentagonals)
+    add_output(p, _cmd_pentagonals, csv=True)
 
     p = sub.add_parser("telescope", help="replay a telescoping derivation")
     p.add_argument("--variant", type=int, choices=(1, 2), required=True)
-    p.add_argument("--order", type=_nonnegative_int, default=None,
+    p.add_argument("--order", type=_int_at_least(2), default=None,
                    help="run and verify the full derivation at this order")
-    p.add_argument("--stages", type=_positive_int, default=None,
+    p.add_argument("--stages", type=_int_at_least(1), default=None,
                    help="replay a fixed number of stages (default 5 when "
                         "--order is absent)")
-    add_formats(p, csv=False)
-    p.set_defaults(func=_cmd_telescope)
+    add_output(p, _cmd_telescope, csv=False)
 
     p = sub.add_parser("partitions", help="tabulate partition counts")
-    p.add_argument("--upto", type=_nonnegative_int, required=True,
+    p.add_argument("--upto", type=_int_at_least(0), required=True,
                    help="largest n to tabulate")
-    add_formats(p, csv=True)
-    p.set_defaults(func=_cmd_partitions)
+    add_output(p, _cmd_partitions, csv=True)
 
     p = sub.add_parser("verify", help="run the verification suite")
-    p.add_argument("--order", type=_nonnegative_int, required=True,
+    p.add_argument("--order", type=_int_at_least(2), required=True,
                    help="order for the closed form and cascade checks")
-    p.add_argument("--roots-max-d", type=_positive_int, default=12,
+    p.add_argument("--roots-max-d", type=_int_at_least(1), default=12,
                    help="check primitive roots up to this order (default 12)")
-    add_formats(p, csv=False)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("bench", help="time the partition recurrence")
-    p.add_argument("--upto", type=_nonnegative_int, required=True)
-    add_formats(p, csv=False)
-    p.set_defaults(func=_cmd_bench)
+    add_output(p, _cmd_verify, csv=False)
 
     return parser
 
@@ -308,10 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.subcommand == "telescope" and args.order is not None and args.order < 2:
-        parser.error("telescope --order must be >= 2")
-    if args.subcommand == "verify" and args.order < 2:
-        parser.error("verify --order must be >= 2")
+    try:
+        output = args.func(args)
+    except StageVerificationError as failure:
+        print(f"verification failed: {failure}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"pentagon {args.subcommand}: error: {exc}", file=sys.stderr)
+        return 2
 
     if args.out:
         try:
@@ -319,8 +270,10 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             parser.error(f"cannot write {args.out}: {exc.strerror}")
         with handle:
-            return args.func(args, handle)
-    return args.func(args, sys.stdout)
+            _render(args, output, handle)
+    else:
+        _render(args, output, sys.stdout)
+    return output.code
 
 
 def entry() -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from operator import add as _int_add, sub as _int_sub
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -212,19 +213,36 @@ def _json_int(value: object, field: str) -> int:
     raise ValueError(f"{field}: expected an int or a decimal string, got {value!r}")
 
 
+def _json_field(obj: object, field: str, kind: type = object) -> Any:
+    if not isinstance(obj, dict):
+        raise ValueError(
+            f"{field}: expected a JSON object that has it, got {type(obj).__name__}")
+    if field not in obj:
+        raise ValueError(f"{field}: missing")
+    # a str where a list belongs would be read one character at a time
+    if not isinstance(obj[field], kind):
+        raise ValueError(f"{field}: expected a {kind.__name__}, "
+                         f"got {type(obj[field]).__name__}")
+    return obj[field]
+
+
 def series_from_json(obj: dict) -> TruncatedSeries:
     """Parse either the dense or the sparse schema.
 
     Every number must be an int or a decimal string, and sparse exponents
-    lie in 0..order without repeats; anything else raises ``ValueError``.
+    lie in 0..order without repeats; anything else, a missing field or a
+    field of the wrong JSON type included, raises ``ValueError``.
     """
-    order = _json_int(obj["order"], "order")
+    order = _json_int(_json_field(obj, "order"), "order")
     if "coeffs" in obj:
-        return _wrap([_json_int(c, "coeffs") for c in obj["coeffs"]], order)
+        coeffs = _json_field(obj, "coeffs", list)
+        return _wrap([_json_int(c, "coeffs") for c in coeffs], order)
+    if "terms" not in obj:
+        raise ValueError("coeffs or terms: missing")
     out = [0] * (order + 1)
     seen: set[int] = set()
-    for term in obj["terms"]:
-        e = _json_int(term["exp"], "exp")
+    for term in _json_field(obj, "terms", list):
+        e = _json_int(_json_field(term, "exp"), "exp")
         if e < 0:
             raise ValueError(f"term exponent {e} is negative")
         if e > order:
@@ -232,7 +250,7 @@ def series_from_json(obj: dict) -> TruncatedSeries:
         if e in seen:
             raise ValueError(f"duplicate term exponent {e}")
         seen.add(e)
-        out[e] = _json_int(term["coeff"], "coeff")
+        out[e] = _json_int(_json_field(term, "coeff"), "coeff")
     return _wrap(out, order)
 
 

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import pentagon
+import pentagon.cli
 from pentagon.cli import main
 from pentagon.series import partial_product, series_from_json
+from pentagon.verify import CheckResult
 
 PAPER_LINE = ("1 - x - x^2 + x^5 + x^7 - x^12 - x^15 + x^22 + x^26"
               " - x^35 - x^40 + x^51")
@@ -183,13 +185,6 @@ def test_verify_json(capsys):
     assert [c["passed"] for c in payload["checks"]] == [True, True, True]
 
 
-def test_bench_reports_without_asserting_numbers(capsys):
-    code, out = run_cli(capsys, "bench", "--upto", "500")
-    assert code == 0
-    assert "partitions_recurrence(500)" in out
-    assert "table entries 501" in out
-
-
 def test_out_flag_writes_identical_bytes(tmp_path, capsys):
     first = tmp_path / "a.txt"
     second = tmp_path / "b.txt"
@@ -198,6 +193,27 @@ def test_out_flag_writes_identical_bytes(tmp_path, capsys):
     code, out = run_cli(capsys, "expand", "--order", "40")
     assert first.read_bytes() == second.read_bytes()
     assert first.read_text() == out
+
+
+def test_out_file_is_kept_when_the_command_fails(tmp_path, request):
+    # --out used to truncate the file before the command ran
+    keep = tmp_path / "keep.txt"
+    keep.write_text("earlier output\n")
+    argv = ["telescope", "--variant", "1", "--out", str(keep)]
+    assert main([*argv, "--stages", "8", "--order", "12"]) == 2
+    assert keep.read_text() == "earlier output\n"
+    request.getfixturevalue("broken_reduce_step")
+    assert main([*argv, "--order", "60"]) == 1
+    assert keep.read_text() == "earlier output\n"
+
+
+def test_out_file_holds_a_failing_verify_report(tmp_path, monkeypatch):
+    failing = [CheckResult("closed form equals product", False, "x^7: 0 != 1")]
+    monkeypatch.setattr(pentagon.cli, "full_verification", lambda *args: failing)
+    report = tmp_path / "report.txt"
+    assert main(["verify", "--order", "7", "--out", str(report)]) == 1
+    assert report.read_text() == (
+        "FAIL closed form equals product (x^7: 0 != 1)\n1 of 1 checks failed\n")
 
 
 def test_conflicting_formats_exit_2(capsys):
@@ -222,6 +238,21 @@ def test_telescope_order_one_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["telescope", "--variant", "1", "--order", "1"])
     assert excinfo.value.code == 2
+    assert "argument --order: must be >= 2, got 1" in capsys.readouterr().err
+
+
+def test_verify_order_one_exits_2(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--order", "1"])
+    assert excinfo.value.code == 2
+    assert "argument --order: must be >= 2, got 1" in capsys.readouterr().err
+
+
+def test_bench_is_not_a_command(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench", "--upto", "500"])
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_missing_subcommand_exits_2(capsys):

@@ -258,6 +258,24 @@ def test_json_rejects_numbers_that_are_not_integers(obj, field):
         series_from_json(obj)
 
 
+@pytest.mark.parametrize(("obj", "field"), [
+    # each used to raise KeyError or TypeError, and "123" parsed as 1 + 2x + 3x^2
+    ({"coeffs": ["1"]}, "order"),
+    ({"order": 1}, "coeffs or terms"),
+    ({"order": 1, "terms": [{"coeff": "1"}]}, "exp"),
+    ({"order": 1, "terms": [{"exp": 0}]}, "coeff"),
+    (["order", 1], "order"),
+    ("123", "order"),
+    ({"order": 1, "terms": 5}, "terms"),
+    ({"order": 1, "terms": {"exp": 0, "coeff": "1"}}, "terms"),
+    ({"order": 1, "terms": ["0"]}, "exp"),
+    ({"order": 2, "coeffs": "123"}, "coeffs"),
+])
+def test_json_rejects_malformed_structure(obj, field):
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        series_from_json(obj)
+
+
 def test_json_accepts_ints_and_signed_decimal_strings():
     big = "-" + "9" * 60
     parsed = series_from_json({"order": "2", "coeffs": [3, "+4", big]})
