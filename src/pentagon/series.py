@@ -239,7 +239,12 @@ def series_from_json(obj: dict) -> TruncatedSeries:
         return _wrap([_json_int(c, "coeffs") for c in coeffs], order)
     if "terms" not in obj:
         raise ValueError("coeffs or terms: missing")
-    out = [0] * (order + 1)
+    if order < 0:
+        raise ValueError(f"order: must be >= 0, got {order}")
+    try:
+        out = [0] * (order + 1)
+    except (MemoryError, OverflowError):
+        raise ValueError(f"order: {order} is too large to hold") from None
     seen: set[int] = set()
     for term in _json_field(obj, "terms", list):
         e = _json_int(_json_field(term, "exp"), "exp")

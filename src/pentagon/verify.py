@@ -5,16 +5,15 @@ factor per step and must end at exactly 1; each intermediate quotient is
 the product over the remaining factors. At a primitive d-th root of
 unity every factor with index divisible by d vanishes, so the partial
 product over k <= m has that root with multiplicity floor(m/d). Both
-facts are checked directly, the cascade in exact integers and the roots
-in floating point with a scaled tolerance.
+facts are decided in exact integers, the roots in Z[x]/(x^d - 1).
 
 One pass of the cascade serves every consumer: ``division_cascade``
 fingerprints each quotient, ``cascade_quotient`` stops at the step it
 is asked for, and ``full_verification`` compares the sampled quotients
 with the remaining products as exact coefficient tuples. Those products
 come from one descending sweep of binomial multiplications that ends at
-the full product, and each root's partial products come from one
-running product over its factors.
+the full product, and each root order d takes one running product of
+rotate-and-subtract steps that decides every primitive d-th root at once.
 """
 
 from __future__ import annotations
@@ -24,7 +23,8 @@ import hashlib
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
-from math import gcd, pi
+from math import gcd, pi, prod
+from operator import sub
 
 from .pentagonal import closed_form_series
 from .series import TruncatedSeries, div_binomial, mul_binomial, product_range
@@ -114,44 +114,47 @@ def primitive_root_entries(d: int) -> list[RootEntry]:
     return [RootEntry(d, j) for j in range(1, d + 1) if gcd(j, d) == 1]
 
 
-def _running_root_product(d: int, j: int, m: int) -> Iterator[tuple[float, bool]]:
-    """(magnitude, is_zero) of the partial product over k <= n, for n = 1..m.
+def _subtract_rotated(v: list[int], k: int) -> list[int]:
+    """v * (1 - x^k) in Z[x]/(x^d - 1), d = len(v): v minus v rotated by k."""
+    s = len(v) - k % len(v)
+    return list(map(sub, v, v[s:] + v[:s]))
 
-    One running product at zeta = exp(2*pi*i*j/d); the values at n are
-    those ``eval_partial_product_at_root(d, j, n)`` returns.
+
+def _vanishes_at_primitive_roots(d: int, m_max: int) -> Iterator[bool]:
+    """For m = 1..m_max, whether P_m = prod_(k<=m)(1 - x^k) is 0 at zeta_d.
+
+    G = prod_(e|d, e<d)(1 - x^e) is 0 at the other d-th roots, all simple, so
+    G * P_m = 0 in Z[x]/(x^d - 1) iff P_m is 0 at every (conjugate) zeta_d.
     """
-    prod = complex(1.0)
-    for n in range(1, m + 1):
-        idx = (j * n) % d
-        prod *= 1.0 - cmath.exp(2j * pi * idx / d)
-        magnitude = abs(prod)
-        yield magnitude, magnitude <= 1e-9 * n
+    v = [1] + [0] * (d - 1)
+    for e in range(1, d):
+        if d % e == 0:
+            v = _subtract_rotated(v, e)
+    for k in range(1, m_max + 1):
+        v = _subtract_rotated(v, k)
+        yield not any(v)
 
 
 def eval_partial_product_at_root(d: int, j: int, m: int) -> tuple[float, bool]:
-    """|prod_(k<=m)(1 - zeta^k)| at zeta = exp(2*pi*i*j/d).
+    """(|prod_(k<=m)(1 - zeta^k)|, is_zero) at zeta = exp(2*pi*i*j/d).
 
-    Returns (magnitude, is_zero) with is_zero decided at tolerance
-    1e-9 * m. Angles are reduced with integer arithmetic mod d, so a
-    vanishing factor is exactly 0.0 rather than rounding noise.
+    is_zero is exact; the float magnitude, with angles reduced mod d in
+    integers so a vanishing factor is exactly 0.0, is for information.
     """
-    if d < 1 or m < 1:
-        raise ValueError("d and m must both be >= 1")
-    if gcd(j, d) != 1:
-        raise ValueError(f"j = {j} is not coprime to d = {d}")
-    for result in _running_root_product(d, j, m):
-        pass
-    return result
+    RootEntry(d, j)
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    *_, is_zero = _vanishes_at_primitive_roots(d, m)
+    return abs(prod(1 - cmath.exp(2j * pi * (j * k % d) / d)
+                    for k in range(1, m + 1))), is_zero
 
 
-def _first_root_mismatch(max_d: int, m_max: int) -> tuple[int, int, int, bool] | None:
-    """First (d, j, m, is_zero) whose zero test disagrees with m >= d."""
+def _first_root_mismatch(max_d: int, m_max: int) -> tuple[int, int] | None:
+    """First (d, m) whose exact zero test at zeta_d disagrees with m >= d."""
     for d in range(1, max_d + 1):
-        for entry in primitive_root_entries(d):
-            running = _running_root_product(d, entry.j, m_max)
-            for m, (_, is_zero) in enumerate(running, 1):
-                if is_zero != (m >= d):
-                    return d, entry.j, m, is_zero
+        for m, is_zero in enumerate(_vanishes_at_primitive_roots(d, m_max), 1):
+            if is_zero != (m >= d):
+                return d, m
     return None
 
 
@@ -224,18 +227,14 @@ def full_verification(order: int, roots_max_d: int = 12) -> list[CheckResult]:
     m_max = 2 * roots_max_d
     mismatch = _first_root_mismatch(roots_max_d, m_max)
     count_bad = _multiplicity_count_mismatch()
-    if mismatch is None and count_bad is None:
-        results.append(CheckResult(
-            "root structure", True,
-            f"d <= {roots_max_d}, m <= {m_max}, multiplicity sums to m <= 50"))
-    elif mismatch is not None:
-        d, j, m, is_zero = mismatch
-        results.append(CheckResult(
-            "root structure", False,
-            f"zeta(d={d}, j={j}) at m={m}: is_zero={is_zero}, expected {m >= d}"))
+    if mismatch is not None:
+        d, m = mismatch
+        detail = f"zeta(d={d}, j=1) at m={m}: is_zero={m < d}, expected {m >= d}"
+    elif count_bad is not None:
+        detail = f"multiplicity count mismatch at m={count_bad}"
     else:
-        results.append(CheckResult(
-            "root structure", False,
-            f"multiplicity count mismatch at m={count_bad}"))
+        detail = f"d <= {roots_max_d}, m <= {m_max}, multiplicity sums to m <= 50"
+    results.append(CheckResult(
+        "root structure", mismatch is None and count_bad is None, detail))
 
     return results

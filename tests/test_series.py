@@ -276,6 +276,19 @@ def test_json_rejects_malformed_structure(obj, field):
         series_from_json(obj)
 
 
+@pytest.mark.parametrize(("order", "message"), [
+    # used to blame the exponent, raise MemoryError and raise OverflowError
+    (-1, "order: must be >= 0, got -1"),
+    (10**15, f"order: {10**15} is too large to hold"),
+    (10**20, f"order: {10**20} is too large to hold"),
+])
+def test_json_sparse_rejects_an_order_it_cannot_hold(order, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        series_from_json({"order": order, "terms": [{"exp": 3, "coeff": "1"}]})
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        series_from_json({"order": order, "terms": []})
+
+
 def test_json_accepts_ints_and_signed_decimal_strings():
     big = "-" + "9" * 60
     parsed = series_from_json({"order": "2", "coeffs": [3, "+4", big]})

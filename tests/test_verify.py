@@ -18,7 +18,6 @@ from pentagon.series import (
 from pentagon.verify import (
     CheckResult,
     RootEntry,
-    _running_root_product,
     cascade_quotient,
     division_cascade,
     eval_partial_product_at_root,
@@ -169,7 +168,7 @@ def test_full_verification_validates_arguments():
 
 
 def test_partial_product_value_at_one_is_zero_like():
-    # sanity link between the float root checks and the exact series:
+    # sanity link between the root checks at d = 1 and the series:
     # summing coefficients evaluates the polynomial at x = 1
     series = partial_product(8, 36)
     assert sum(series.coeffs) == 0
@@ -239,9 +238,23 @@ def test_multiplicity_count_is_checked_once(monkeypatch):
     assert roots.detail == "multiplicity count mismatch at m=7"
 
 
-def test_eval_is_the_running_product_at_m():
-    for d in range(1, 13):
-        for entry in primitive_root_entries(d):
-            running = list(_running_root_product(d, entry.j, 24))
-            for m in range(1, 25):
-                assert eval_partial_product_at_root(d, entry.j, m) == running[m - 1]
+def test_roots_up_to_d_150_pass_where_a_float_tolerance_failed():
+    # |P_20(zeta_125)| is 1.9e-8: small, but not zero
+    assert eval_partial_product_at_root(125, 1, 20)[1] is False
+    assert eval_partial_product_at_root(125, 1, 125)[1] is True
+    closed, cascade, roots = full_verification(2, 150)
+    assert roots.passed
+    assert roots.detail == "d <= 150, m <= 300, multiplicity sums to m <= 50"
+
+
+def test_full_verification_reports_a_skipped_factor_at_a_root(monkeypatch):
+    original = pentagon.verify._subtract_rotated
+
+    def skip_factor_6(v, k):
+        return v if k == 6 else original(v, k)
+
+    monkeypatch.setattr(pentagon.verify, "_subtract_rotated", skip_factor_6)
+    closed, cascade, roots = full_verification(60, 6)
+    assert closed.passed and cascade.passed
+    assert not roots.passed
+    assert roots.detail == "zeta(d=6, j=1) at m=6: is_zero=False, expected True"
