@@ -94,7 +94,7 @@ def partitions_oracle_dp(n_max: int) -> PartitionTable:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     values = [1] + [0] * n_max
     for k in range(1, n_max + 1):
-        _div_binomial_inplace(values, k, n_max)
+        _div_binomial_inplace(values, k)
     return PartitionTable(n_max, tuple(values))
 
 

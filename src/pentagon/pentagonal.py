@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .series import TruncatedSeries, make_series
+from .series import TruncatedSeries, _require_int, make_series
 
 
 def g_minus(n: int) -> int:
@@ -73,6 +73,7 @@ def pentagonal_terms_upto(order: int) -> list[tuple[int, int]]:
 
 def closed_form_series(order: int) -> TruncatedSeries:
     """The sparse expansion of prod (1 - x^k), assembled term by term."""
+    _require_int(order, "order")
     coeffs = [0] * (order + 1)
     for exponent, sign in pentagonal_terms_upto(order):
         coeffs[exponent] = sign

@@ -65,6 +65,13 @@ def _wrap(coeffs: list[int], order: int) -> TruncatedSeries:
     return TruncatedSeries(order, tuple(coeffs))
 
 
+def _require_int(value: object, name: str) -> None:
+    # type() rather than isinstance(): True would pass as 1, and a float
+    # would reach the kernels as a non-integer coefficient or slice bound
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def make_series(coeffs: list[int] | tuple[int, ...], order: int) -> TruncatedSeries:
     """Build a series from low-order coefficients, zero-filling up to x^order."""
     bad = next((i for i, c in enumerate(coeffs) if type(c) is not int), None)
@@ -87,8 +94,7 @@ def monomial(exponent: int, order: int, coeff: int = 1) -> TruncatedSeries:
     """coeff * x^exponent, or the zero series if the exponent exceeds the order."""
     if exponent < 0:
         raise ValueError(f"exponent must be >= 0, got {exponent}")
-    if type(coeff) is not int:
-        raise ValueError(f"coeff must be an int, got {coeff!r}")
+    _require_int(coeff, "coeff")
     out = [0] * (order + 1)
     if exponent <= order:
         out[exponent] = coeff
@@ -121,45 +127,48 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return _wrap(out, order)
 
 
-def _mul_binomial_inplace(coeffs: list[int], k: int, c: int, order: int) -> None:
-    """coeffs *= (1 + c*x^k) modulo x^(order+1), in one pass."""
-    if k > order:
-        return
-    tail = coeffs[k:]
-    head = coeffs[: order + 1 - k]
+def _mul_binomial_inplace(coeffs: list[int], k: int, c: int) -> None:
+    """coeffs *= (1 + c*x^k) modulo x^len(coeffs).
+
+    The right-hand side is built in full before the slice is assigned, so
+    every term reads the old coefficients; ``map`` stops with coeffs[k:].
+    """
     if c == -1:
-        coeffs[k:] = map(_int_sub, tail, head)
+        coeffs[k:] = map(_int_sub, coeffs[k:], coeffs)
     elif c == 1:
-        coeffs[k:] = map(_int_add, tail, head)
+        coeffs[k:] = map(_int_add, coeffs[k:], coeffs)
     else:
-        coeffs[k:] = [t + c * h for t, h in zip(tail, head)]
+        coeffs[k:] = [t + c * h for t, h in zip(coeffs[k:], coeffs)]
 
 
 def mul_binomial(a: TruncatedSeries, k: int, c: int) -> TruncatedSeries:
     """Multiply by the sparse factor (1 + c*x^k) in O(order) coefficient ops."""
+    _require_int(k, "k")
+    _require_int(c, "c")
     if k < 1:
         raise ValueError(f"binomial exponent must be >= 1, got {k}")
     out = list(a.coeffs)
-    _mul_binomial_inplace(out, k, c, a.order)
+    _mul_binomial_inplace(out, k, c)
     return _wrap(out, a.order)
 
 
-def _div_binomial_inplace(coeffs: list[int], k: int, order: int) -> None:
-    """coeffs /= (1 - x^k): q_i = a_i + q_(i-k), exact in the truncated ring."""
-    if k > order:
-        return
-    # zip reads entry i-k just after it became q_(i-k) and just before
-    # entry i is updated, so one ascending pass builds the quotient
-    for i, q in zip(range(k, order + 1), coeffs):
-        coeffs[i] += q
+def _div_binomial_inplace(coeffs: list[int], k: int) -> None:
+    """coeffs /= (1 - x^k) modulo x^len(coeffs): q_i = a_i + q_(i-k).
+
+    Block [i, i+k) needs only the block before it, which is already the
+    quotient, so each block is one C-level map.
+    """
+    for i in range(k, len(coeffs), k):
+        coeffs[i:i + k] = map(_int_add, coeffs[i:i + k], coeffs[i - k:i])
 
 
 def div_binomial(a: TruncatedSeries, k: int) -> TruncatedSeries:
     """Exact quotient by the unit (1 - x^k)."""
+    _require_int(k, "k")
     if k < 1:
         raise ValueError(f"binomial exponent must be >= 1, got {k}")
     out = list(a.coeffs)
-    _div_binomial_inplace(out, k, a.order)
+    _div_binomial_inplace(out, k)
     return _wrap(out, a.order)
 
 
@@ -167,13 +176,22 @@ def product_range(first: int, last: int, order: int) -> TruncatedSeries:
     """prod of (1 - x^k) for k = first..last, modulo x^(order+1).
 
     An empty range (last < first) gives the unit series. Factors with
-    k > order are identities at this order and are skipped.
+    k > order are identities at this order and are skipped. The factors
+    are applied largest first, so before factor k the running product is
+    1 plus terms of degree > k: multiplying by (1 - x^k) subtracts x^k
+    and x^k times those terms, which start at degree 2k + 1. Factor k
+    thus costs 1 + max(0, order - 2k) updates: about order^2/4 in all,
+    where applying the factors smallest first costs about order^2/2.
     """
+    _require_int(first, "first")
+    _require_int(last, "last")
+    _require_int(order, "order")
     if first < 1:
         raise ValueError(f"factor range must start at >= 1, got {first}")
     cur = [1] + [0] * order
-    for k in range(first, min(last, order) + 1):
-        _mul_binomial_inplace(cur, k, -1, order)
+    for k in range(min(last, order), first - 1, -1):
+        cur[k] -= 1
+        cur[2 * k + 1:] = map(_int_sub, cur[2 * k + 1:], cur[k + 1:])
     return _wrap(cur, order)
 
 
@@ -183,6 +201,7 @@ def partial_product(m: int, order: int) -> TruncatedSeries:
     The brute-force expansion of the full product, and the oracle every
     other representation in the package is checked against.
     """
+    _require_int(m, "m")
     if m < 1:
         raise ValueError(f"need at least one factor, got m={m}")
     return product_range(1, m, order)

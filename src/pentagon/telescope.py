@@ -182,7 +182,7 @@ def expand_tail(t: TailFamily, order: int) -> TruncatedSeries:
         return TruncatedSeries(order, (0,) * (order + 1))
     s = [1] + [0] * (depth % t.step)
     for j in range(depth // t.step - 1, -1, -1):
-        _mul_binomial_inplace(s, t.product_start + j, -1, len(s) - 1)
+        _mul_binomial_inplace(s, t.product_start + j, -1)
         s[:0] = [1] + [0] * (t.step - 1)
     if not t.includes_bare_head:
         s[0] -= 1

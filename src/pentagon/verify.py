@@ -7,13 +7,16 @@ unity every factor with index divisible by d vanishes, so the partial
 product over k <= m has that root with multiplicity floor(m/d). Both
 facts are decided in exact integers, the roots in Z[x]/(x^d - 1).
 
-One pass of the cascade serves every consumer: ``division_cascade``
-fingerprints each quotient, ``cascade_quotient`` stops at the step it
-is asked for, and ``full_verification`` compares the sampled quotients
-with the remaining products as exact coefficient tuples. Those products
-come from one descending sweep of binomial multiplications that ends at
-the full product, and each root order d takes one running product of
-rotate-and-subtract steps that decides every primitive d-th root at once.
+One cascade serves every consumer. It divides a single coefficient list
+in place, one blockwise division per factor, and yields that list after
+each step: ``division_cascade`` fingerprints each quotient,
+``cascade_quotient`` copies the step it is asked for, and
+``full_verification`` compares the sampled quotients with the remaining
+products as exact coefficient tuples. Those products come from one
+descending sweep of binomial multiplications, largest factor first, that
+ends at the full product, and each root order d takes one running
+product of rotate-and-subtract steps that decides every primitive d-th
+root at once.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from math import gcd, pi, prod
 from operator import sub
 
 from .pentagonal import closed_form_series
-from .series import TruncatedSeries, div_binomial, mul_binomial, product_range
+from .series import (TruncatedSeries, _div_binomial_inplace, _require_int,
+                     mul_binomial, product_range)
 
 
 def series_fingerprint(s: TruncatedSeries) -> str:
@@ -49,12 +53,17 @@ class CascadeReport:
     final_is_unity: bool
 
 
-def _cascade(series: TruncatedSeries) -> Iterator[TruncatedSeries]:
-    """The series, then its quotient by (1 - x^k) for k = 1..order in turn."""
-    yield series
+def _cascade(series: TruncatedSeries) -> Iterator[list[int]]:
+    """The series, then its quotient by (1 - x^k) for k = 1..order in turn.
+
+    Every step yields the same list, divided in place; a caller copies
+    what it keeps before asking for the next step.
+    """
+    coeffs = list(series.coeffs)
+    yield coeffs
     for k in range(1, series.order + 1):
-        series = div_binomial(series, k)
-        yield series
+        _div_binomial_inplace(coeffs, k)
+        yield coeffs
 
 
 def division_cascade(order: int) -> CascadeReport:
@@ -69,17 +78,23 @@ def division_cascade(order: int) -> CascadeReport:
     q = next(quotients)
     steps = []
     for k, q in enumerate(quotients, 1):
-        steps.append(CascadeStep(k, series_fingerprint(q)))
-    unity = (1,) + (0,) * order
-    return CascadeReport(order, tuple(steps), q.coeffs == unity)
+        steps.append(CascadeStep(k, series_fingerprint(
+            TruncatedSeries(order, tuple(q)))))
+    return CascadeReport(order, tuple(steps), q == [1] + [0] * order)
 
 
 def cascade_quotient(order: int, upto_k: int) -> TruncatedSeries:
-    """The quotient after dividing out factors 1..upto_k, for spot checks."""
+    """The quotient after dividing out factors 1..upto_k, for spot checks.
+
+    Past upto_k = order every factor is gone and the quotient stays 1.
+    """
+    _require_int(upto_k, "upto_k")
+    if upto_k < 0:
+        raise ValueError(f"upto_k must be >= 0, got {upto_k}")
     for k, q in enumerate(_cascade(closed_form_series(order))):
         if k >= upto_k:
             break
-    return q
+    return TruncatedSeries(order, tuple(q))
 
 
 def root_multiplicity(d: int, m: int) -> int:
@@ -180,6 +195,8 @@ def full_verification(order: int, roots_max_d: int = 12) -> list[CheckResult]:
     Returns one result per check group; the detail of a failing group
     pinpoints the first mismatch found.
     """
+    _require_int(order, "order")
+    _require_int(roots_max_d, "roots_max_d")
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
     if roots_max_d < 1:
@@ -209,14 +226,14 @@ def full_verification(order: int, roots_max_d: int = 12) -> list[CheckResult]:
 
     bad = None
     for m, q in enumerate(_cascade(closed)):
-        if m in rests and q.coeffs != rests[m].coeffs:
+        if m in rests and tuple(q) != rests[m].coeffs:
             bad = m
             break
     if bad is not None:
         results.append(CheckResult(
             "division cascade", False,
             f"quotient after step {bad} differs from the remaining product"))
-    elif q.coeffs == (1,) + (0,) * order:
+    elif q == [1] + [0] * order:
         results.append(CheckResult(
             "division cascade", True,
             f"order {order}, final quotient 1, intermediates at {sampled}"))

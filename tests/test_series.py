@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from pentagon.series import (
     TruncatedSeries,
+    _div_binomial_inplace,
+    _mul_binomial_inplace,
     add,
     div_binomial,
     format_series,
@@ -30,6 +32,42 @@ def series(draw, max_order=24, coeff_bound=999):
     coeffs = draw(st.lists(st.integers(-coeff_bound, coeff_bound),
                            min_size=order + 1, max_size=order + 1))
     return TruncatedSeries(order, tuple(coeffs))
+
+
+def literal_mul_binomial(coeffs, k, c):
+    """coeffs * (1 + c*x^k), truncated to len(coeffs), one entry at a time
+    from the top, so each entry reads one below it that is not yet updated."""
+    out = list(coeffs)
+    for i in range(len(out) - 1, k - 1, -1):
+        out[i] += c * out[i - k]
+    return out
+
+
+def literal_div_binomial(coeffs, k):
+    """coeffs / (1 - x^k), truncated to len(coeffs): q_i = a_i + q_(i-k),
+    one entry at a time from the bottom."""
+    out = list(coeffs)
+    for i in range(k, len(out)):
+        out[i] += out[i - k]
+    return out
+
+
+def ascending_product_range(first, last, order):
+    """prod of (1 - x^k) for k = first..last, smallest factor first."""
+    product = one(order)
+    for k in range(first, last + 1):
+        product = mul_binomial(product, k, -1)
+    return product.coeffs
+
+
+@st.composite
+def kernel_cases(draw):
+    """A coefficient list of order 0..80 with entries up to 10^40, and a k
+    from 1 to three past the order."""
+    order = draw(st.integers(0, 80))
+    coeffs = draw(st.lists(st.integers(-10**40, 10**40),
+                           min_size=order + 1, max_size=order + 1))
+    return coeffs, draw(st.integers(1, order + 3))
 
 
 def test_make_series_pads_with_zeros():
@@ -101,6 +139,40 @@ def test_mul_binomial_rejects_nonpositive_k():
         mul_binomial(one(3), 0, -1)
 
 
+@pytest.mark.parametrize("function, args, message", (
+    (mul_binomial, (one(3), 1, 0.5), "c must be an int, got 0.5"),
+    (mul_binomial, (one(3), 1, True), "c must be an int, got True"),
+    (mul_binomial, (one(3), 2.0, -1), "k must be an int, got 2.0"),
+    (mul_binomial, (one(3), True, -1), "k must be an int, got True"),
+    (div_binomial, (one(3), 2.0), "k must be an int, got 2.0"),
+    (div_binomial, (one(3), True), "k must be an int, got True"),
+    (product_range, (1.5, 3, 3), "first must be an int, got 1.5"),
+    (product_range, (1, 3.0, 3), "last must be an int, got 3.0"),
+    (product_range, (1, 3, True), "order must be an int, got True"),
+    (partial_product, (2.0, 3), "m must be an int, got 2.0"),
+), ids=lambda value: value.__name__ if callable(value) else None)
+def test_binomial_wrappers_reject_arguments_that_are_not_ints(function, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        function(*args)
+
+
+@given(kernel_cases(), st.one_of(st.sampled_from((-1, 1)),
+                                 st.integers(-10**40, 10**40)))
+def test_mul_binomial_kernel_matches_the_literal_loop(case, c):
+    coeffs, k = case
+    expected = literal_mul_binomial(coeffs, k, c)
+    _mul_binomial_inplace(coeffs, k, c)
+    assert coeffs == expected
+
+
+@given(kernel_cases())
+def test_div_binomial_kernel_matches_the_literal_loop(case):
+    coeffs, k = case
+    expected = literal_div_binomial(coeffs, k)
+    _div_binomial_inplace(coeffs, k)
+    assert coeffs == expected
+
+
 @given(series(), st.integers(1, 12), st.integers(-3, 3))
 def test_mul_binomial_matches_dense_mul(a, k, c):
     dense = monomial(k, a.order, c)
@@ -163,6 +235,12 @@ def test_factors_beyond_order_are_identity(n, extra):
 
 def test_product_range_empty_is_unit():
     assert product_range(5, 4, 6).coeffs == one(6).coeffs
+
+
+@given(st.integers(1, 30), st.integers(0, 60), st.integers(0, 80))
+def test_product_range_matches_the_ascending_chain(first, last, order):
+    expected = ascending_product_range(first, last, order)
+    assert product_range(first, last, order).coeffs == expected
 
 
 def test_product_range_splits_partial_product():

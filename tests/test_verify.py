@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import pentagon.verify
+from pentagon.pentagonal import closed_form_series
 from pentagon.series import (
-    div_binomial,
     make_series,
     mul_binomial,
     one,
@@ -76,6 +76,11 @@ def test_cascade_ends_at_unity():
 def test_cascade_rejects_order_zero():
     with pytest.raises(ValueError):
         division_cascade(0)
+
+
+def test_cascade_quotient_at_step_zero_and_past_the_order():
+    assert cascade_quotient(10, 0).coeffs == closed_form_series(10).coeffs
+    assert cascade_quotient(12, 40).coeffs == one(12).coeffs
 
 
 def test_root_multiplicity_examples():
@@ -167,6 +172,21 @@ def test_full_verification_validates_arguments():
         full_verification(10, roots_max_d=0)
 
 
+@pytest.mark.parametrize("function, args, message", (
+    (full_verification, (2.5,), "order must be an int, got 2.5"),
+    (full_verification, (60, 6.0), "roots_max_d must be an int, got 6.0"),
+    (division_cascade, (2.0,), "order must be an int, got 2.0"),
+    (cascade_quotient, (True, 1), "order must be an int, got True"),
+    (cascade_quotient, (10, 2.5), "upto_k must be an int, got 2.5"),
+    (cascade_quotient, (10, True), "upto_k must be an int, got True"),
+    (cascade_quotient, (10, -1), "upto_k must be >= 0, got -1"),
+    (cascade_quotient, (10, -3), "upto_k must be >= 0, got -3"),
+), ids=lambda value: value.__name__ if callable(value) else None)
+def test_checks_reject_arguments_that_are_not_counts(function, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        function(*args)
+
+
 def test_partial_product_value_at_one_is_zero_like():
     # sanity link between the root checks at d = 1 and the series:
     # summing coefficients evaluates the polynomial at x = 1
@@ -175,15 +195,14 @@ def test_partial_product_value_at_one_is_zero_like():
 
 
 def test_full_verification_reports_a_corrupted_quotient(monkeypatch):
-    def corrupt_step_5(a, k):
-        q = div_binomial(a, k)
-        if k != 5:
-            return q
-        coeffs = list(q.coeffs)
-        coeffs[7] += 1
-        return make_series(coeffs, q.order)
+    original = pentagon.verify._div_binomial_inplace
 
-    monkeypatch.setattr(pentagon.verify, "div_binomial", corrupt_step_5)
+    def corrupt_step_5(coeffs, k):
+        original(coeffs, k)
+        if k == 5:
+            coeffs[7] += 1
+
+    monkeypatch.setattr(pentagon.verify, "_div_binomial_inplace", corrupt_step_5)
     closed, cascade, roots = full_verification(60, 6)
     assert closed.passed and roots.passed
     assert not cascade.passed
@@ -219,10 +238,10 @@ def test_full_verification_divides_once_per_factor_and_hashes_nothing(monkeypatc
         monkeypatch.setattr(pentagon.verify, name, wrapper)
 
     counted("series_fingerprint")
-    counted("div_binomial")
+    counted("_div_binomial_inplace")
     assert all(c.passed for c in full_verification(300, 6))
     assert calls["series_fingerprint"] == 0
-    assert calls["div_binomial"] == 300
+    assert calls["_div_binomial_inplace"] == 300
 
 
 def test_multiplicity_count_is_checked_once(monkeypatch):
