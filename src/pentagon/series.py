@@ -74,6 +74,7 @@ def _require_int(value: object, name: str) -> None:
 
 def make_series(coeffs: list[int] | tuple[int, ...], order: int) -> TruncatedSeries:
     """Build a series from low-order coefficients, zero-filling up to x^order."""
+    _require_int(order, "order")
     bad = next((i for i, c in enumerate(coeffs) if type(c) is not int), None)
     if bad is not None:
         raise ValueError(f"coeffs[{bad}] must be an int, got {coeffs[bad]!r}")
@@ -92,9 +93,11 @@ def one(order: int) -> TruncatedSeries:
 
 def monomial(exponent: int, order: int, coeff: int = 1) -> TruncatedSeries:
     """coeff * x^exponent, or the zero series if the exponent exceeds the order."""
+    _require_int(exponent, "exponent")
+    _require_int(order, "order")
+    _require_int(coeff, "coeff")
     if exponent < 0:
         raise ValueError(f"exponent must be >= 0, got {exponent}")
-    _require_int(coeff, "coeff")
     out = [0] * (order + 1)
     if exponent <= order:
         out[exponent] = coeff
@@ -152,13 +155,17 @@ def mul_binomial(a: TruncatedSeries, k: int, c: int) -> TruncatedSeries:
     return _wrap(out, a.order)
 
 
-def _div_binomial_inplace(coeffs: list[int], k: int) -> None:
+def _div_binomial_inplace(coeffs: list[int], k: int, start: int | None = None) -> None:
     """coeffs /= (1 - x^k) modulo x^len(coeffs): q_i = a_i + q_(i-k).
 
     Block [i, i+k) needs only the block before it, which is already the
-    quotient, so each block is one C-level map.
+    quotient, so each block is one C-level map. Updates begin at
+    ``start``, by default k, below which q_i = a_i. A later start is exact
+    when every entry below it already holds q_i: the verify cascade passes
+    2k + 1 for a list 1 + 0*x + ... + 0*x^k + O(x^(k+1)), whose q_i is
+    a_i + 0 up to x^(2k), so its first block reads x^(k+1)..x^(2k) as is.
     """
-    for i in range(k, len(coeffs), k):
+    for i in range(k if start is None else start, len(coeffs), k):
         coeffs[i:i + k] = map(_int_add, coeffs[i:i + k], coeffs[i - k:i])
 
 

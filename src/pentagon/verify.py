@@ -9,7 +9,12 @@ facts are decided in exact integers, the roots in Z[x]/(x^d - 1).
 
 One cascade serves every consumer. It divides a single coefficient list
 in place, one blockwise division per factor, and yields that list after
-each step: ``division_cascade`` fingerprints each quotient,
+each step. Before step k a correct quotient is 1 - x^k + O(x^(k+1)), so
+the division only clears x^k and updates the coefficients above x^(2k):
+about order^2/4 updates in all instead of order^2/2, and a single
+assignment for k > order/2. A list without that head, which only a wrong
+quotient has, is divided in full from there on, so every step is exact.
+Consumers: ``division_cascade`` fingerprints each quotient,
 ``cascade_quotient`` copies the step it is asked for, and
 ``full_verification`` compares the sampled quotients with the remaining
 products as exact coefficient tuples. Those products come from one
@@ -58,11 +63,25 @@ def _cascade(series: TruncatedSeries) -> Iterator[list[int]]:
 
     Every step yields the same list, divided in place; a caller copies
     what it keeps before asking for the next step.
+
+    While the list is 1 + 0*x + ... + 0*x^(k-1) + O(x^k), as every
+    remaining product is, and its x^k term is -1, step k sets that term
+    to 0 and divides from x^(2k+1) up: q_i = a_i + q_(i-k) adds only the
+    zeros at x^1..x^k to x^(k+1)..x^(2k), so those entries are already
+    the quotient's, and the result starts 1 + 0*x + ... + 0*x^k again.
+    The first step that finds another head divides in full, as does
+    every step after it, so each quotient is exact for any input.
     """
     coeffs = list(series.coeffs)
     yield coeffs
+    unit_head = coeffs[0] == 1
     for k in range(1, series.order + 1):
-        _div_binomial_inplace(coeffs, k)
+        if unit_head and coeffs[k] == -1:
+            coeffs[k] = 0
+            _div_binomial_inplace(coeffs, k, 2 * k + 1)
+        else:
+            unit_head = False
+            _div_binomial_inplace(coeffs, k)
         yield coeffs
 
 

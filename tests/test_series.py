@@ -93,6 +93,21 @@ def test_make_series_rejects_coefficients_that_are_not_ints(coeffs, bad):
         make_series(coeffs, 3)
 
 
+@pytest.mark.parametrize("function, args, message", (
+    (one, (2.0,), "order must be an int, got 2.0"),
+    (one, (True,), "order must be an int, got True"),
+    (make_series, ([1], True), "order must be an int, got True"),
+    (make_series, ([1, 2], "3"), "order must be an int, got '3'"),
+    (monomial, (1.0, 3), "exponent must be an int, got 1.0"),
+    (monomial, (True, 3), "exponent must be an int, got True"),
+    (monomial, (1, 3.0), "order must be an int, got 3.0"),
+))
+def test_constructors_reject_an_order_or_exponent_that_is_not_an_int(
+        function, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        function(*args)
+
+
 @pytest.mark.parametrize("coeff", (0.5, True, "1"))
 def test_monomial_rejects_a_coefficient_that_is_not_an_int(coeff):
     with pytest.raises(ValueError, match="coeff must be an int"):
@@ -170,6 +185,17 @@ def test_div_binomial_kernel_matches_the_literal_loop(case):
     coeffs, k = case
     expected = literal_div_binomial(coeffs, k)
     _div_binomial_inplace(coeffs, k)
+    assert coeffs == expected
+
+
+@given(kernel_cases(), st.data())
+def test_div_binomial_kernel_from_a_later_start_finishes_the_quotient(case, data):
+    # with coeffs[:start] already the quotient's, the rest is divided from start
+    coeffs, k = case
+    expected = literal_div_binomial(coeffs, k)
+    start = data.draw(st.integers(k, len(coeffs) + k))
+    coeffs[:start] = expected[:start]
+    _div_binomial_inplace(coeffs, k, start)
     assert coeffs == expected
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 import pentagon.verify
 from pentagon.pentagonal import closed_form_series
 from pentagon.series import (
+    div_binomial,
     make_series,
     mul_binomial,
     one,
@@ -57,12 +58,61 @@ def test_cascade_first_step_strips_first_factor():
 
 
 def test_cascade_intermediates_match_remaining_products():
-    order = 60
+    order = 120
     report = division_cascade(order)
-    for m in (1, 2, 5, 17, 33):
+    for m in range(order + 1):
         rest = product_range(m + 1, order, order)
-        assert report.steps[m - 1].fingerprint == series_fingerprint(rest)
+        if m:
+            assert report.steps[m - 1].fingerprint == series_fingerprint(rest)
         assert cascade_quotient(order, m).coeffs == rest.coeffs
+
+
+def test_cascade_starts_every_step_of_the_closed_form_at_2k_plus_1(monkeypatch):
+    starts = []
+    original = pentagon.verify._div_binomial_inplace
+
+    def recorded(coeffs, k, *args):
+        starts.append((k, *args))
+        original(coeffs, k, *args)
+
+    monkeypatch.setattr(pentagon.verify, "_div_binomial_inplace", recorded)
+    *_, last = pentagon.verify._cascade(closed_form_series(300))
+    assert last == [1] + [0] * 300
+    assert starts == [(k, 2 * k + 1) for k in range(1, 301)]
+
+
+@st.composite
+def perturbed_closed_forms(draw):
+    """The closed form at order 2..80 with up to two coefficients moved by a
+    small nonzero amount, anywhere from x^0 to x^order."""
+    order = draw(st.integers(2, 80))
+    coeffs = list(closed_form_series(order).coeffs)
+    for _ in range(draw(st.integers(0, 2))):
+        e = draw(st.integers(0, order))
+        coeffs[e] += draw(st.sampled_from((-2, -1, 1, 2)))
+    return make_series(coeffs, order)
+
+
+def assert_cascade_divides_exactly(series):
+    expected = series
+    for k, q in enumerate(pentagon.verify._cascade(series)):
+        if k:
+            expected = div_binomial(expected, k)
+        assert tuple(q) == expected.coeffs
+
+
+@given(perturbed_closed_forms())
+def test_cascade_yields_the_exact_quotient_of_any_input(series):
+    assert_cascade_divides_exactly(series)
+
+
+def test_cascade_divides_in_full_after_the_first_wrong_head():
+    # the two changes cancel in the x^11 head once step 10 has divided in
+    # full, but x^10 of that quotient is 1, so step 11 must divide in full too
+    coeffs = list(closed_form_series(60).coeffs)
+    coeffs[10] += 1
+    coeffs[11] -= 1
+    assert_cascade_divides_exactly(make_series(coeffs, 60))
 
 
 def test_cascade_ends_at_unity():
@@ -197,8 +247,8 @@ def test_partial_product_value_at_one_is_zero_like():
 def test_full_verification_reports_a_corrupted_quotient(monkeypatch):
     original = pentagon.verify._div_binomial_inplace
 
-    def corrupt_step_5(coeffs, k):
-        original(coeffs, k)
+    def corrupt_step_5(coeffs, k, *args):
+        original(coeffs, k, *args)
         if k == 5:
             coeffs[7] += 1
 
