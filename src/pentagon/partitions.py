@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pentagonal import pentagonal_terms_upto
-from .series import TruncatedSeries, _div_binomial_inplace, make_series
+from .series import (TruncatedSeries, _div_binomial_inplace, _require_int,
+                     make_series)
 
 ENUMERATION_LIMIT = 45
 
@@ -48,6 +49,7 @@ def recurrence_support(n_max: int) -> list[tuple[int, int]]:
     flipped: these terms sit on the inverse side of the identity, so
     the sign for pair index k is (-1)^(k-1).
     """
+    _require_int(n_max, "n_max")
     return [(e, -s) for e, s in pentagonal_terms_upto(n_max)[1:]]
 
 
@@ -72,11 +74,13 @@ def _reciprocal_coeffs(n: int) -> list[int]:
 
 def reciprocal_series(order: int) -> TruncatedSeries:
     """The series r with closed_form * r = 1 at this order."""
+    _require_int(order, "order")
     return make_series(_reciprocal_coeffs(order), order)
 
 
 def partitions_recurrence(n_max: int) -> PartitionTable:
     """p(0..n_max) via the sparse recurrence, O(n^1.5) integer additions."""
+    _require_int(n_max, "n_max")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     return PartitionTable(n_max, tuple(_reciprocal_coeffs(n_max)))
@@ -85,16 +89,21 @@ def partitions_recurrence(n_max: int) -> PartitionTable:
 def partitions_oracle_dp(n_max: int) -> PartitionTable:
     """p(0..n_max) by accumulating one part size at a time.
 
-    Divides 1 by (1 - x^k) for k = 1..n_max, the unbounded-knapsack
-    table: after part k, entry n counts partitions of n into parts <= k.
-    Shares nothing with the recurrence: no pentagonal numbers, no
-    subtraction.
+    Divides 1 by (1 - x^k) for k = n_max down to 1, the unbounded-knapsack
+    table: after part k, entry n counts partitions of n into parts >= k.
+    Before part k the list is 1/prod_(j>k)(1 - x^j) = 1 + O(x^(k+1)), so
+    q_i = a_i + q_(i-k) sets x^k to 1 and leaves x^(k+1)..x^(2k-1) as they
+    are; the first entry that reads a nonzero one is x^(2k), which reads
+    q_k = 1, so the division starts there. Shares nothing with the
+    recurrence: no pentagonal numbers, no subtraction.
     """
+    _require_int(n_max, "n_max")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     values = [1] + [0] * n_max
-    for k in range(1, n_max + 1):
-        _div_binomial_inplace(values, k)
+    for k in range(n_max, 0, -1):
+        values[k] += 1
+        _div_binomial_inplace(values, k, 2 * k)
     return PartitionTable(n_max, tuple(values))
 
 
@@ -104,6 +113,7 @@ def partitions_enumerate(n: int) -> int:
     Descending-parts recursion; every leaf is one partition. Guarded at
     n = 45 to keep the walk around two million nodes.
     """
+    _require_int(n, "n")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n > ENUMERATION_LIMIT:

@@ -164,6 +164,8 @@ def _div_binomial_inplace(coeffs: list[int], k: int, start: int | None = None) -
     when every entry below it already holds q_i: the verify cascade passes
     2k + 1 for a list 1 + 0*x + ... + 0*x^k + O(x^(k+1)), whose q_i is
     a_i + 0 up to x^(2k), so its first block reads x^(k+1)..x^(2k) as is.
+    The partition oracle passes 2k for a list 1 + O(x^(k+1)) whose x^k it
+    has just set to 1, so q_i = a_i up to x^(2k-1).
     """
     for i in range(k if start is None else start, len(coeffs), k):
         coeffs[i:i + k] = map(_int_add, coeffs[i:i + k], coeffs[i - k:i])

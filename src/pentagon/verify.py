@@ -35,8 +35,8 @@ from math import gcd, pi, prod
 from operator import sub
 
 from .pentagonal import closed_form_series
-from .series import (TruncatedSeries, _div_binomial_inplace, _require_int,
-                     mul_binomial, product_range)
+from .series import (TruncatedSeries, _div_binomial_inplace,
+                     _mul_binomial_inplace, _require_int, product_range)
 
 
 def series_fingerprint(s: TruncatedSeries) -> str:
@@ -121,6 +121,8 @@ def root_multiplicity(d: int, m: int) -> int:
 
     One factor per index k divisible by d, hence floor(m/d).
     """
+    _require_int(d, "d")
+    _require_int(m, "m")
     if d < 1 or m < 1:
         raise ValueError("d and m must both be >= 1")
     return m // d
@@ -223,21 +225,21 @@ def full_verification(order: int, roots_max_d: int = 12) -> list[CheckResult]:
     results = []
 
     # The remaining products after the sampled steps and the full
-    # product, built from 1 by multiplication in one descending sweep.
+    # product, built in one list by one descending sweep of multiplications.
     sampled = [m for m in (1, 5, 50) if m <= order]
-    product = product_range(sampled[-1] + 1, order, order)
-    rests = {sampled[-1]: product}
+    product = list(product_range(sampled[-1] + 1, order, order).coeffs)
+    rests = {sampled[-1]: product[:]}
     for k in range(sampled[-1], 0, -1):
-        product = mul_binomial(product, k, -1)
+        _mul_binomial_inplace(product, k, -1)
         if k - 1 in sampled:
-            rests[k - 1] = product
+            rests[k - 1] = product[:]
 
     closed = closed_form_series(order)
-    if closed.coeffs == product.coeffs:
+    if list(closed.coeffs) == product:
         results.append(CheckResult(
             "closed form equals product", True, f"order {order}"))
     else:
-        e = next(i for i, (a, b) in enumerate(zip(closed.coeffs, product.coeffs))
+        e = next(i for i, (a, b) in enumerate(zip(closed.coeffs, product))
                  if a != b)
         results.append(CheckResult(
             "closed form equals product", False,
@@ -245,7 +247,7 @@ def full_verification(order: int, roots_max_d: int = 12) -> list[CheckResult]:
 
     bad = None
     for m, q in enumerate(_cascade(closed)):
-        if m in rests and tuple(q) != rests[m].coeffs:
+        if m in rests and q != rests[m]:
             bad = m
             break
     if bad is not None:

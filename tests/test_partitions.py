@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pentagon.partitions
 from pentagon.partitions import (
     ENUMERATION_LIMIT,
     PartitionTable,
@@ -70,8 +71,59 @@ def test_enumerate_guard():
 
 
 def test_recurrence_agrees_with_dp():
-    n = 600
-    assert partitions_recurrence(n).values == partitions_oracle_dp(n).values
+    for n in (600, 10000):
+        assert partitions_recurrence(n).values == partitions_oracle_dp(n).values
+
+
+def knapsack_ascending(n_max: int) -> tuple[int, ...]:
+    """1 / prod_(k<=n_max) (1 - x^k), dividing by the smallest part first,
+    one coefficient at a time: q_i = a_i + q_(i-k) for every i >= k."""
+    values = [1] + [0] * n_max
+    for k in range(1, n_max + 1):
+        for i in range(k, n_max + 1):
+            values[i] += values[i - k]
+    return tuple(values)
+
+
+def test_dp_matches_ascending_knapsack_for_every_small_n():
+    reference = knapsack_ascending(300)
+    for n in range(301):
+        assert partitions_oracle_dp(n).values == reference[:n + 1], n
+
+
+@given(st.integers(301, 1500))
+@settings(max_examples=15, deadline=None)
+def test_dp_matches_ascending_knapsack_sampled(n):
+    assert partitions_oracle_dp(n).values == knapsack_ascending(n)
+
+
+@pytest.mark.parametrize("n_max", (0, 1, 300))
+def test_dp_divides_once_per_part_largest_first_from_2k(monkeypatch, n_max):
+    calls = []
+    original = pentagon.partitions._div_binomial_inplace
+
+    def recorded(coeffs, k, *args):
+        calls.append((k, *args))
+        original(coeffs, k, *args)
+
+    monkeypatch.setattr(pentagon.partitions, "_div_binomial_inplace", recorded)
+    partitions_oracle_dp(n_max)
+    assert calls == [(k, 2 * k) for k in range(n_max, 0, -1)]
+
+
+@pytest.mark.parametrize("function, args, message", (
+    (partitions_oracle_dp, (True,), "n_max must be an int, got True"),
+    (partitions_oracle_dp, (2.0,), "n_max must be an int, got 2.0"),
+    (partitions_recurrence, (True,), "n_max must be an int, got True"),
+    (partitions_recurrence, (2.0,), "n_max must be an int, got 2.0"),
+    (partitions_enumerate, (True,), "n must be an int, got True"),
+    (partitions_enumerate, (2.5,), "n must be an int, got 2.5"),
+    (recurrence_support, (3.0,), "n_max must be an int, got 3.0"),
+    (reciprocal_series, (2.0,), "order must be an int, got 2.0"),
+), ids=lambda value: value.__name__ if callable(value) else None)
+def test_entry_points_reject_arguments_that_are_not_ints(function, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        function(*args)
 
 
 def test_recurrence_and_dp_agree_with_enumeration():

@@ -11,7 +11,6 @@ from pentagon.pentagonal import closed_form_series
 from pentagon.series import (
     div_binomial,
     make_series,
-    mul_binomial,
     one,
     partial_product,
     product_range,
@@ -143,6 +142,16 @@ def test_root_multiplicity_examples():
         root_multiplicity(3, 0)
 
 
+@pytest.mark.parametrize("args, message", (
+    ((2.0, 5), "d must be an int, got 2.0"),
+    ((True, 5), "d must be an int, got True"),
+    ((2, 5.0), "m must be an int, got 5.0"),
+))
+def test_root_multiplicity_rejects_arguments_that_are_not_ints(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        root_multiplicity(*args)
+
+
 @given(st.integers(1, 200), st.integers(1, 200))
 def test_root_multiplicity_counts_divisible_factors(d, m):
     assert root_multiplicity(d, m) == sum(1 for k in range(1, m + 1) if k % d == 0)
@@ -260,15 +269,14 @@ def test_full_verification_reports_a_corrupted_quotient(monkeypatch):
 
 
 def test_full_verification_reports_a_corrupted_product(monkeypatch):
-    def corrupt_last_factor(a, k, c):
-        p = mul_binomial(a, k, c)
-        if k != 1:
-            return p
-        coeffs = list(p.coeffs)
-        coeffs[4] += 1
-        return make_series(coeffs, p.order)
+    original = pentagon.verify._mul_binomial_inplace
 
-    monkeypatch.setattr(pentagon.verify, "mul_binomial", corrupt_last_factor)
+    def corrupt_last_factor(coeffs, k, c):
+        original(coeffs, k, c)
+        if k == 1:
+            coeffs[4] += 1
+
+    monkeypatch.setattr(pentagon.verify, "_mul_binomial_inplace", corrupt_last_factor)
     closed, cascade, roots = full_verification(60, 6)
     assert cascade.passed and roots.passed
     assert not closed.passed
