@@ -13,10 +13,11 @@ enumeration of partitions at small n. All arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .pentagonal import pentagonal_terms_upto
-from .series import (TruncatedSeries, _div_binomial_inplace, _require_int,
-                     make_series)
+from .series import (TruncatedSeries, _check_index, _div_binomial_inplace,
+                     _require_int, make_series)
 
 ENUMERATION_LIMIT = 45
 
@@ -36,6 +37,7 @@ class PartitionTable:
             )
 
     def __getitem__(self, n: int) -> int:
+        _check_index(n, self.max_n, "n")
         return self.values[n]
 
     def __len__(self) -> int:
@@ -57,18 +59,22 @@ def _reciprocal_coeffs(n: int) -> list[int]:
     """q_0..q_n of 1 / closed form, by one sparse long division.
 
     q_m is the signed sum of q_(m-e) over the recurrence offsets e <= m.
-    While q holds q_0..q_(m-1), q[-e] is q_(m-e), so each step sums two
-    lists of negative offsets, grown as m reaches each new offset.
+    While q holds q_0..q_(m-1), q[-e] is q_(m-e), so each step gathers two
+    lists of negative offsets, one per sign, through one ``itemgetter``
+    each, built at m = 1 (the first offset) and rebuilt only when m
+    reaches a new offset. Both lists start with index 0 twice: an
+    itemgetter of one index returns a bare value, not a tuple, and the
+    2 * q_0 read on each side cancels in the difference.
     """
     signs = dict(recurrence_support(n))
-    added: list[int] = []
-    subtracted: list[int] = []
+    added, subtracted = [0, 0], [0, 0]
     q = [1]
     for m in range(1, n + 1):
         if m in signs:
             (added if signs[m] > 0 else subtracted).append(-m)
-        q.append(sum(map(q.__getitem__, added))
-                 - sum(map(q.__getitem__, subtracted)))
+            take_added = itemgetter(*added)
+            take_subtracted = itemgetter(*subtracted)
+        q.append(sum(take_added(q)) - sum(take_subtracted(q)))
     return q
 
 

@@ -36,6 +36,7 @@ class PentagonalPair:
     sign: int
 
     def __post_init__(self) -> None:
+        _require_int(self.n, "n")
         if self.n < 1:
             raise ValueError(f"pair index must be >= 1, got {self.n}")
 
@@ -61,6 +62,7 @@ def pentagonal_terms_upto(order: int) -> list[tuple[int, int]]:
     for every n, so the walk emits strictly ascending exponents without
     sorting.
     """
+    _require_int(order, "order")
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     terms = [(0, 1)]

@@ -36,6 +36,7 @@ class TruncatedSeries:
             )
 
     def __getitem__(self, exponent: int) -> int:
+        _check_index(exponent, self.order, "exponent")
         return self.coeffs[exponent]
 
     def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
@@ -70,6 +71,15 @@ def _require_int(value: object, name: str) -> None:
     # would reach the kernels as a non-integer coefficient or slice bound
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def _check_index(index: object, last: int, name: str) -> None:
+    # a negative index would wrap to the top and a slice would return a
+    # tuple; IndexError stays the out-of-range type so iteration stops
+    if type(index) is not int:
+        raise TypeError(f"{name} must be an int in 0..{last}, got {index!r}")
+    if not 0 <= index <= last:
+        raise IndexError(f"{name} = {index} is outside 0..{last}")
 
 
 def make_series(coeffs: list[int] | tuple[int, ...], order: int) -> TruncatedSeries:

@@ -136,6 +136,8 @@ class RootEntry:
     j: int
 
     def __post_init__(self) -> None:
+        _require_int(self.d, "d")
+        _require_int(self.j, "j")
         if self.d < 1:
             raise ValueError(f"root order must be >= 1, got {self.d}")
         if gcd(self.j, self.d) != 1:
@@ -147,6 +149,7 @@ class RootEntry:
 
 def primitive_root_entries(d: int) -> list[RootEntry]:
     """All primitive d-th roots, one entry per residue coprime to d."""
+    _require_int(d, "d")
     return [RootEntry(d, j) for j in range(1, d + 1) if gcd(j, d) == 1]
 
 
@@ -178,6 +181,7 @@ def eval_partial_product_at_root(d: int, j: int, m: int) -> tuple[float, bool]:
     integers so a vanishing factor is exactly 0.0, is for information.
     """
     RootEntry(d, j)
+    _require_int(m, "m")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     *_, is_zero = _vanishes_at_primitive_roots(d, m)

@@ -1,5 +1,6 @@
 """Command-line surface: frozen text formats, schemas, exit codes."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -157,6 +158,17 @@ def test_partitions_text_and_csv(capsys):
     assert code == 0
     assert out.endswith("5,7\n")
     assert out == "0,1\n1,1\n2,2\n3,3\n4,5\n5,7\n"
+
+
+@pytest.mark.parametrize("fmt, digest", (
+    ((), "06705b4a96c05954e6ff81989d36c325ab34b34cc40bc931853f3bb226632f33"),
+    (("--json",), "3fd4100e5f17fe9b9264712373e25cdfb789f58e993b411ec9ebc59c7b241453"),
+    (("--csv",), "5ff1ede8cb22fd3ed2007bdd7e9e1ce76347fb057f770a0e83063eec75109d10"),
+))
+def test_partitions_upto_10000_bytes_are_pinned(capsys, fmt, digest):
+    code, out = run_cli(capsys, "partitions", "--upto", "10000", *fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_partitions_json_uses_decimal_strings(capsys):

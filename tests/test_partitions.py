@@ -41,6 +41,20 @@ def test_recurrence_examples():
     assert partitions_recurrence(50)[50] == 204226
 
 
+@pytest.mark.parametrize("index, error, message", (
+    (-1, IndexError, "n = -1 is outside 0..5"),
+    (6, IndexError, "n = 6 is outside 0..5"),
+    (1.0, TypeError, "n must be an int in 0..5, got 1.0"),
+    (True, TypeError, "n must be an int in 0..5, got True"),
+    (slice(1, 3), TypeError, r"n must be an int in 0..5, got slice\(1, 3, None\)"),
+))
+def test_table_rejects_indices_outside_0_to_max_n(index, error, message):
+    table = partitions_recurrence(5)
+    with pytest.raises(error, match=f"^{message}$"):
+        table[index]
+    assert list(table) == [1, 1, 2, 3, 5, 7]
+
+
 def test_recurrence_rejects_negative():
     with pytest.raises(ValueError):
         partitions_recurrence(-1)

@@ -54,6 +54,17 @@ def test_terms_upto_rejects_negative_order():
         pentagonal_terms_upto(-1)
 
 
+@pytest.mark.parametrize("function, args, message", (
+    (pentagonal_terms_upto, (3.0,), "order must be an int, got 3.0"),
+    (pentagonal_terms_upto, (True,), "order must be an int, got True"),
+    (pentagonal_pair, (2.0,), "n must be an int, got 2.0"),
+    (pentagonal_pair, (True,), "n must be an int, got True"),
+), ids=lambda value: value.__name__ if callable(value) else None)
+def test_entry_points_reject_arguments_that_are_not_ints(function, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        function(*args)
+
+
 @given(st.integers(0, 3000))
 def test_terms_strictly_ascending_with_unit_signs(order):
     terms = pentagonal_terms_upto(order)

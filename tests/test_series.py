@@ -149,6 +149,19 @@ def test_mul_binomial_examples():
     assert mul_binomial(monomial(2, 6), 5, -1).coeffs == (0, 0, 1, 0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("index, error, message", (
+    (-1, IndexError, "exponent = -1 is outside 0..7"),
+    (8, IndexError, "exponent = 8 is outside 0..7"),
+    (2.0, TypeError, "exponent must be an int in 0..7, got 2.0"),
+    (slice(1, 3), TypeError, r"exponent must be an int in 0..7, got slice\(1, 3, None\)"),
+))
+def test_series_rejects_exponents_outside_0_to_order(index, error, message):
+    s = make_series([1, -1, -1, 0, 0, 1, 0, 1], 7)
+    with pytest.raises(error, match=f"^{message}$"):
+        s[index]
+    assert list(s) == [1, -1, -1, 0, 0, 1, 0, 1]
+
+
 def test_mul_binomial_rejects_nonpositive_k():
     with pytest.raises(ValueError):
         mul_binomial(one(3), 0, -1)

@@ -165,6 +165,18 @@ def test_root_entries_are_primitive():
     assert RootEntry(4, 3).multiplicity(9) == 2
 
 
+@pytest.mark.parametrize("function, args, message", (
+    (RootEntry, (True, 1), "d must be an int, got True"),
+    (RootEntry, (5, 2.0), "j must be an int, got 2.0"),
+    (primitive_root_entries, (2.0,), "d must be an int, got 2.0"),
+    (eval_partial_product_at_root, (2.0, 1, 3), "d must be an int, got 2.0"),
+    (eval_partial_product_at_root, (3, 1, 2.0), "m must be an int, got 2.0"),
+), ids=lambda value: value.__name__ if callable(value) else None)
+def test_root_entry_points_reject_arguments_that_are_not_ints(function, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        function(*args)
+
+
 def test_eval_examples():
     magnitude, is_zero = eval_partial_product_at_root(2, 1, 1)
     assert magnitude == pytest.approx(2.0)
