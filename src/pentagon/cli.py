@@ -130,7 +130,7 @@ def _cmd_telescope(args: argparse.Namespace) -> _Output:
             return {**head, "stages": len(records), **body, "verified": True}
         tail = trace.residual
         residual = {"stage": tail.stage, "base": tail.base, "step": tail.step,
-                    "product_start": tail.product_start,
+                    "product_start": tail.step,
                     "leading_exponent": tail.leading_exponent}
         return {**head, **body, "residual": residual, "verified": True,
                 "series": to_dense_json(trace.reconstruct())}

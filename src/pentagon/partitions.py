@@ -24,24 +24,21 @@ ENUMERATION_LIMIT = 45
 
 @dataclass(frozen=True)
 class PartitionTable:
-    """p(0)..p(max_n) as exact integers."""
+    """p(0)..p(max_n) as exact integers, with max_n = len(values) - 1."""
 
-    max_n: int
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.values) != self.max_n + 1:
-            raise ValueError(
-                f"need {self.max_n + 1} values for max_n {self.max_n}, "
-                f"got {len(self.values)}"
-            )
+    @property
+    def max_n(self) -> int:
+        """The largest n tabulated."""
+        return len(self.values) - 1
 
     def __getitem__(self, n: int) -> int:
         _check_index(n, self.max_n, "n")
         return self.values[n]
 
     def __len__(self) -> int:
-        return self.max_n + 1
+        return len(self.values)
 
 
 def recurrence_support(n_max: int) -> list[tuple[int, int]]:
@@ -89,7 +86,7 @@ def partitions_recurrence(n_max: int) -> PartitionTable:
     _require_int(n_max, "n_max")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    return PartitionTable(n_max, tuple(_reciprocal_coeffs(n_max)))
+    return PartitionTable(tuple(_reciprocal_coeffs(n_max)))
 
 
 def partitions_oracle_dp(n_max: int) -> PartitionTable:
@@ -110,7 +107,7 @@ def partitions_oracle_dp(n_max: int) -> PartitionTable:
     for k in range(n_max, 0, -1):
         values[k] += 1
         _div_binomial_inplace(values, k, 2 * k)
-    return PartitionTable(n_max, tuple(values))
+    return PartitionTable(tuple(values))
 
 
 def partitions_enumerate(n: int) -> int:

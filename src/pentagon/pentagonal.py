@@ -11,6 +11,7 @@ can cross-check the brute-force product expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, takewhile
 from typing import Iterator
 
 from .series import TruncatedSeries, _require_int, make_series
@@ -48,10 +49,8 @@ def pentagonal_pair(n: int) -> PentagonalPair:
 
 def pentagonal_pairs_upto(limit: int) -> Iterator[PentagonalPair]:
     """All pairs whose smaller exponent is <= limit, ascending in n."""
-    n = 1
-    while g_minus(n) <= limit:
-        yield pentagonal_pair(n)
-        n += 1
+    _require_int(limit, "limit")
+    return map(pentagonal_pair, takewhile(lambda n: g_minus(n) <= limit, count(1)))
 
 
 def pentagonal_terms_upto(order: int) -> list[tuple[int, int]]:

@@ -19,21 +19,21 @@ from typing import Any
 class TruncatedSeries:
     """An integer power series modulo x^(order+1).
 
-    ``coeffs`` has length ``order + 1``; entry i is the coefficient of x^i.
+    Entry i of ``coeffs`` is the coefficient of x^i, and the order is
+    ``len(coeffs) - 1``, so at least one coefficient is needed.
     Instances are immutable and safe to share.
     """
 
-    order: int
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.order < 0:
+        if not self.coeffs:
             raise ValueError(f"order must be >= 0, got {self.order}")
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError(
-                f"need {self.order + 1} coefficients for order {self.order}, "
-                f"got {len(self.coeffs)}"
-            )
+
+    @property
+    def order(self) -> int:
+        """The truncation order N: the series lives modulo x^(N+1)."""
+        return len(self.coeffs) - 1
 
     def __getitem__(self, exponent: int) -> int:
         _check_index(exponent, self.order, "exponent")
@@ -62,10 +62,6 @@ class TruncatedSeries:
         return [(e, c) for e, c in enumerate(self.coeffs) if c]
 
 
-def _wrap(coeffs: list[int], order: int) -> TruncatedSeries:
-    return TruncatedSeries(order, tuple(coeffs))
-
-
 def _require_int(value: object, name: str) -> None:
     # type() rather than isinstance(): True would pass as 1, and a float
     # would reach the kernels as a non-integer coefficient or slice bound
@@ -85,6 +81,8 @@ def _check_index(index: object, last: int, name: str) -> None:
 def make_series(coeffs: list[int] | tuple[int, ...], order: int) -> TruncatedSeries:
     """Build a series from low-order coefficients, zero-filling up to x^order."""
     _require_int(order, "order")
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     bad = next((i for i, c in enumerate(coeffs) if type(c) is not int), None)
     if bad is not None:
         raise ValueError(f"coeffs[{bad}] must be an int, got {coeffs[bad]!r}")
@@ -93,7 +91,7 @@ def make_series(coeffs: list[int] | tuple[int, ...], order: int) -> TruncatedSer
             f"{len(coeffs)} coefficients do not fit in order {order}"
         )
     padded = list(coeffs) + [0] * (order + 1 - len(coeffs))
-    return _wrap(padded, order)
+    return TruncatedSeries(tuple(padded))
 
 
 def one(order: int) -> TruncatedSeries:
@@ -108,28 +106,22 @@ def monomial(exponent: int, order: int, coeff: int = 1) -> TruncatedSeries:
     _require_int(coeff, "coeff")
     if exponent < 0:
         raise ValueError(f"exponent must be >= 0, got {exponent}")
-    out = [0] * (order + 1)
-    if exponent <= order:
-        out[exponent] = coeff
-    return _wrap(out, order)
+    return make_series([0] * exponent + [coeff] if exponent <= order else [], order)
 
 
 def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    order = min(a.order, b.order)
-    n = order + 1
-    return _wrap(list(map(_int_add, a.coeffs[:n], b.coeffs[:n])), order)
+    """Sum, truncated to the smaller order: ``map`` stops with the shorter."""
+    return TruncatedSeries(tuple(map(_int_add, a.coeffs, b.coeffs)))
 
 
 def sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    order = min(a.order, b.order)
-    n = order + 1
-    return _wrap(list(map(_int_sub, a.coeffs[:n], b.coeffs[:n])), order)
+    """Difference, truncated to the smaller order like ``add``."""
+    return TruncatedSeries(tuple(map(_int_sub, a.coeffs, b.coeffs)))
 
 
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Schoolbook convolution, truncated to the smaller order."""
-    order = min(a.order, b.order)
-    n = order + 1
+    n = min(len(a.coeffs), len(b.coeffs))
     out = [0] * n
     bc = b.coeffs
     for i, ai in enumerate(a.coeffs[:n]):
@@ -137,7 +129,7 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
             continue
         for j in range(n - i):
             out[i + j] += ai * bc[j]
-    return _wrap(out, order)
+    return TruncatedSeries(tuple(out))
 
 
 def _mul_binomial_inplace(coeffs: list[int], k: int, c: int) -> None:
@@ -148,8 +140,6 @@ def _mul_binomial_inplace(coeffs: list[int], k: int, c: int) -> None:
     """
     if c == -1:
         coeffs[k:] = map(_int_sub, coeffs[k:], coeffs)
-    elif c == 1:
-        coeffs[k:] = map(_int_add, coeffs[k:], coeffs)
     else:
         coeffs[k:] = [t + c * h for t, h in zip(coeffs[k:], coeffs)]
 
@@ -162,7 +152,7 @@ def mul_binomial(a: TruncatedSeries, k: int, c: int) -> TruncatedSeries:
         raise ValueError(f"binomial exponent must be >= 1, got {k}")
     out = list(a.coeffs)
     _mul_binomial_inplace(out, k, c)
-    return _wrap(out, a.order)
+    return TruncatedSeries(tuple(out))
 
 
 def _div_binomial_inplace(coeffs: list[int], k: int, start: int | None = None) -> None:
@@ -188,7 +178,7 @@ def div_binomial(a: TruncatedSeries, k: int) -> TruncatedSeries:
         raise ValueError(f"binomial exponent must be >= 1, got {k}")
     out = list(a.coeffs)
     _div_binomial_inplace(out, k)
-    return _wrap(out, a.order)
+    return TruncatedSeries(tuple(out))
 
 
 def product_range(first: int, last: int, order: int) -> TruncatedSeries:
@@ -211,7 +201,7 @@ def product_range(first: int, last: int, order: int) -> TruncatedSeries:
     for k in range(min(last, order), first - 1, -1):
         cur[k] -= 1
         cur[2 * k + 1:] = map(_int_sub, cur[2 * k + 1:], cur[k + 1:])
-    return _wrap(cur, order)
+    return TruncatedSeries(tuple(cur))
 
 
 def partial_product(m: int, order: int) -> TruncatedSeries:
@@ -267,18 +257,22 @@ def _json_field(obj: object, field: str, kind: type = object) -> Any:
 def series_from_json(obj: dict) -> TruncatedSeries:
     """Parse either the dense or the sparse schema.
 
-    Every number must be an int or a decimal string, and sparse exponents
-    lie in 0..order without repeats; anything else, a missing field or a
+    Every number must be an int or a decimal string, the order is >= 0,
+    a dense list holds order + 1 coefficients, and sparse exponents lie
+    in 0..order without repeats; anything else, a missing field or a
     field of the wrong JSON type included, raises ``ValueError``.
     """
     order = _json_int(_json_field(obj, "order"), "order")
-    if "coeffs" in obj:
-        coeffs = _json_field(obj, "coeffs", list)
-        return _wrap([_json_int(c, "coeffs") for c in coeffs], order)
-    if "terms" not in obj:
+    if "coeffs" not in obj and "terms" not in obj:
         raise ValueError("coeffs or terms: missing")
     if order < 0:
         raise ValueError(f"order: must be >= 0, got {order}")
+    if "coeffs" in obj:
+        coeffs = _json_field(obj, "coeffs", list)
+        if len(coeffs) != order + 1:
+            raise ValueError(f"coeffs: need {order + 1} for order {order}, "
+                             f"got {len(coeffs)}")
+        return TruncatedSeries(tuple(_json_int(c, "coeffs") for c in coeffs))
     try:
         out = [0] * (order + 1)
     except (MemoryError, OverflowError):
@@ -294,7 +288,7 @@ def series_from_json(obj: dict) -> TruncatedSeries:
             raise ValueError(f"duplicate term exponent {e}")
         seen.add(e)
         out[e] = _json_int(_json_field(term, "coeff"), "coeff")
-    return _wrap(out, order)
+    return TruncatedSeries(tuple(out))
 
 
 def format_series(s: TruncatedSeries) -> str:

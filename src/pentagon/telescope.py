@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .pentagonal import g_minus
-from .series import TruncatedSeries, _mul_binomial_inplace
+from .series import TruncatedSeries, _mul_binomial_inplace, _require_int
 
 
 class StageVerificationError(RuntimeError):
@@ -31,28 +31,28 @@ class StageVerificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class TailFamily:
-    """Parametric tail: everything about it follows from five numbers.
+    """Parametric tail: everything about it follows from four numbers.
 
     ``stage`` is the position in the derivation (1-based), ``base`` the
-    exponent offset, ``step`` the per-term exponent increment,
-    ``product_start`` the index of the first binomial factor, and
-    ``includes_bare_head`` whether the j = 0 bare monomial is present.
+    exponent offset, ``step`` the per-term exponent increment and also
+    the index p of the first binomial factor, and ``includes_bare_head``
+    whether the j = 0 bare monomial is present. Every tail of both
+    derivations has p = step, which is what makes it reducible.
     """
 
     variant: int
     stage: int
     base: int
     step: int
-    product_start: int
     includes_bare_head: bool
 
     def __post_init__(self) -> None:
+        for name in ("variant", "stage", "base", "step"):
+            _require_int(getattr(self, name), name)
         if self.variant not in (1, 2):
             raise ValueError(f"variant must be 1 or 2, got {self.variant}")
         if self.stage < 1 or self.base < 1 or self.step < 1:
             raise ValueError("stage, base and step must all be >= 1")
-        if self.product_start < 1:
-            raise ValueError("product_start must be >= 1")
 
     @property
     def leading_exponent(self) -> int:
@@ -79,7 +79,11 @@ class EmissionRecord:
     second_exponent: int
     first_sign: int
     second_sign: int
-    contribution: int
+
+    @property
+    def contribution(self) -> int:
+        """Sign of the reduced tail inside the full series: (-1)^stage."""
+        return -1 if self.stage % 2 else 1
 
     @property
     def tail_signs(self) -> tuple[int, int]:
@@ -112,7 +116,7 @@ class DerivationTrace:
                 coeffs[record.first_exponent] += record.first_sign
             if record.second_exponent <= self.order:
                 coeffs[record.second_exponent] += record.second_sign
-        return TruncatedSeries(self.order, tuple(coeffs))
+        return TruncatedSeries(tuple(coeffs))
 
 
 PREFIX_TERMS = {1: ((0, 1), (1, -1)), 2: ((0, 1), (1, -1), (2, -1))}
@@ -120,12 +124,11 @@ PREFIX_TERMS = {1: ((0, 1), (1, -1)), 2: ((0, 1), (1, -1), (2, -1))}
 
 def initial_tail(variant: int) -> TailFamily:
     """The tail the derivation starts from, after peeling the prefix."""
+    _require_int(variant, "variant")
     if variant == 1:
-        return TailFamily(1, stage=1, base=1, step=1, product_start=1,
-                          includes_bare_head=False)
+        return TailFamily(1, stage=1, base=1, step=1, includes_bare_head=False)
     if variant == 2:
-        return TailFamily(2, stage=2, base=5, step=2, product_start=2,
-                          includes_bare_head=True)
+        return TailFamily(2, stage=2, base=5, step=2, includes_bare_head=True)
     raise ValueError(f"variant must be 1 or 2, got {variant}")
 
 
@@ -133,13 +136,10 @@ def reduce_step(t: TailFamily) -> tuple[EmissionRecord, TailFamily]:
     """One split-and-recombine: emit two monomials, return the next tail.
 
     Splitting (1 - x^p) off each term and pairing the shifted copy of
-    term j with term j+1 requires step == product_start; the pairing
-    then collapses to a single tail with base + 3*step + 1, step + 1.
+    term j with term j+1 needs p == step, which every tail has; the
+    pairing then collapses to a single tail with base + 3*step + 1,
+    step + 1.
     """
-    if t.step != t.product_start:
-        raise ValueError(
-            f"tail is not reducible: step {t.step} != product_start {t.product_start}"
-        )
     b, d = t.base, t.step
     if t.includes_bare_head:
         e1, e2 = b, b + d
@@ -154,14 +154,12 @@ def reduce_step(t: TailFamily) -> tuple[EmissionRecord, TailFamily]:
         second_exponent=e2,
         first_sign=tail_signs[0] * c,
         second_sign=tail_signs[1] * c,
-        contribution=c,
     )
     nxt = TailFamily(
         variant=t.variant,
         stage=t.stage + 1,
         base=b + 3 * d + 1,
         step=d + 1,
-        product_start=t.product_start + 1,
         includes_bare_head=t.includes_bare_head,
     )
     return record, nxt
@@ -171,22 +169,25 @@ def expand_tail(t: TailFamily, order: int) -> TruncatedSeries:
     """Numerically expand the tail's defining sum modulo x^(order+1).
 
     Inside-out (Horner): the sum is x^base * S_0, where S_j = 1 + x^step
-    * (1 - x^(p+j)) * S_(j+1) and p = product_start. S_j only appears as
+    * (1 - x^(p+j)) * S_(j+1) and p = step. S_j only appears as
     x^(base + j*step) * S_j, so cutting it at degree order - base - j*step
     loses only exponents above the order; the last term reaching the
     order has J = (order - base) // step, where that cut leaves S_J = 1.
     Without the bare head, the j = 0 term (the 1 of S_0) is dropped.
     """
+    _require_int(order, "order")
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     depth = order - t.base
     if depth < 0:
-        return TruncatedSeries(order, (0,) * (order + 1))
+        return TruncatedSeries((0,) * (order + 1))
     s = [1] + [0] * (depth % t.step)
     for j in range(depth // t.step - 1, -1, -1):
-        _mul_binomial_inplace(s, t.product_start + j, -1)
+        _mul_binomial_inplace(s, t.step + j, -1)
         s[:0] = [1] + [0] * (t.step - 1)
     if not t.includes_bare_head:
         s[0] -= 1
-    return TruncatedSeries(order, (0,) * t.base + tuple(s))
+    return TruncatedSeries((0,) * t.base + tuple(s))
 
 
 def _identity_holds(lhs: TruncatedSeries, record: EmissionRecord,
@@ -249,6 +250,9 @@ def replay_stages(variant: int, stages: int,
     An explicit order must reach the leading exponent of the last
     stage's next tail, or that stage would compare only zeros.
     """
+    _require_int(stages, "stages")
+    if order is not None:
+        _require_int(order, "order")
     if stages < 1:
         raise ValueError(f"stages must be >= 1, got {stages}")
     first = initial_tail(variant)
@@ -270,6 +274,7 @@ def run_telescope(variant: int, order: int) -> DerivationTrace:
     Steps run until the next emission's smaller exponent would exceed
     the order, which also bounds the residual tail's leading exponent.
     """
+    _require_int(order, "order")
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
     t = initial_tail(variant)

@@ -98,7 +98,7 @@ def division_cascade(order: int) -> CascadeReport:
     steps = []
     for k, q in enumerate(quotients, 1):
         steps.append(CascadeStep(k, series_fingerprint(
-            TruncatedSeries(order, tuple(q)))))
+            TruncatedSeries(tuple(q)))))
     return CascadeReport(order, tuple(steps), q == [1] + [0] * order)
 
 
@@ -113,7 +113,7 @@ def cascade_quotient(order: int, upto_k: int) -> TruncatedSeries:
     for k, q in enumerate(_cascade(closed_form_series(order))):
         if k >= upto_k:
             break
-    return TruncatedSeries(order, tuple(q))
+    return TruncatedSeries(tuple(q))
 
 
 def root_multiplicity(d: int, m: int) -> int:

@@ -164,11 +164,12 @@ def test_table_monotone_and_positive():
 
 
 def test_table_validation_and_access():
-    table = PartitionTable(2, (1, 1, 2))
+    table = PartitionTable((1, 1, 2))
+    assert table.max_n == 2
     assert len(table) == 3
     assert table[2] == 2
-    with pytest.raises(ValueError):
-        PartitionTable(3, (1, 1))
+    with pytest.raises(IndexError):
+        table[3]
 
 
 def test_recurrence_support_is_sparse_and_sorted():

@@ -59,6 +59,9 @@ def test_terms_upto_rejects_negative_order():
     (pentagonal_terms_upto, (True,), "order must be an int, got True"),
     (pentagonal_pair, (2.0,), "n must be an int, got 2.0"),
     (pentagonal_pair, (True,), "n must be an int, got True"),
+    # each used to yield the first pair
+    (pentagonal_pairs_upto, (2.5,), "limit must be an int, got 2.5"),
+    (pentagonal_pairs_upto, (True,), "limit must be an int, got True"),
 ), ids=lambda value: value.__name__ if callable(value) else None)
 def test_entry_points_reject_arguments_that_are_not_ints(function, args, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

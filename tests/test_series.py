@@ -31,7 +31,7 @@ def series(draw, max_order=24, coeff_bound=999):
     order = draw(st.integers(min_value=0, max_value=max_order))
     coeffs = draw(st.lists(st.integers(-coeff_bound, coeff_bound),
                            min_size=order + 1, max_size=order + 1))
-    return TruncatedSeries(order, tuple(coeffs))
+    return TruncatedSeries(tuple(coeffs))
 
 
 def literal_mul_binomial(coeffs, k, c):
@@ -79,10 +79,20 @@ def test_make_series_pads_with_zeros():
 def test_make_series_rejects_overflow_and_bad_order():
     with pytest.raises(ValueError):
         make_series([1, 2, 3], 1)
-    with pytest.raises(ValueError):
-        TruncatedSeries(-1, ())
-    with pytest.raises(ValueError):
-        TruncatedSeries(2, (1, 2))
+    with pytest.raises(ValueError, match=r"^order must be >= 0, got -1$"):
+        TruncatedSeries(())
+
+
+def test_order_is_the_coefficient_count_less_one():
+    assert TruncatedSeries((1, 2, 3)).order == 2
+    assert TruncatedSeries((7,)).order == 0
+
+
+@pytest.mark.parametrize("function, args", ((make_series, ([], -5)),
+                                            (monomial, (0, -5))))
+def test_constructors_name_the_negative_order_they_were_given(function, args):
+    with pytest.raises(ValueError, match="^order must be >= 0, got -5$"):
+        function(*args)
 
 
 @pytest.mark.parametrize("coeffs, bad", (([1.5, True], r"coeffs\[0\]"),
@@ -404,6 +414,17 @@ def test_json_sparse_rejects_an_order_it_cannot_hold(order, message):
         series_from_json({"order": order, "terms": [{"exp": 3, "coeff": "1"}]})
     with pytest.raises(ValueError, match=f"^{message}$"):
         series_from_json({"order": order, "terms": []})
+
+
+@pytest.mark.parametrize(("obj", "message"), [
+    ({"order": 2, "coeffs": ["1", "2"]}, "coeffs: need 3 for order 2, got 2"),
+    ({"order": 0, "coeffs": [1, 2]}, "coeffs: need 1 for order 0, got 2"),
+    ({"order": -1, "coeffs": []}, "order: must be >= 0, got -1"),
+    ({"order": -3, "coeffs": []}, "order: must be >= 0, got -3"),
+])
+def test_json_dense_rejects_a_count_that_does_not_match_the_order(obj, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        series_from_json(obj)
 
 
 def test_json_accepts_ints_and_signed_decimal_strings():

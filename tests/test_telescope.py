@@ -10,6 +10,7 @@ from pentagon.pentagonal import closed_form_series, g_minus, g_plus
 from pentagon.series import format_series
 from pentagon.telescope import (
     PREFIX_TERMS,
+    EmissionRecord,
     StageVerificationError,
     TailFamily,
     expand_tail,
@@ -29,17 +30,16 @@ def canonical_tail(variant: int, stage: int) -> TailFamily:
         stage=stage,
         base=g_minus(stage),
         step=stage,
-        product_start=stage,
         includes_bare_head=(variant == 2),
     )
 
 
 def test_initial_tails():
     t1 = initial_tail(1)
-    assert (t1.stage, t1.base, t1.step, t1.product_start) == (1, 1, 1, 1)
+    assert (t1.stage, t1.base, t1.step) == (1, 1, 1)
     assert not t1.includes_bare_head
     t2 = initial_tail(2)
-    assert (t2.stage, t2.base, t2.step, t2.product_start) == (2, 5, 2, 2)
+    assert (t2.stage, t2.base, t2.step) == (2, 5, 2)
     assert t2.includes_bare_head
     with pytest.raises(ValueError):
         initial_tail(3)
@@ -47,9 +47,9 @@ def test_initial_tails():
 
 def test_tail_family_validation():
     with pytest.raises(ValueError):
-        TailFamily(4, 1, 1, 1, 1, False)
+        TailFamily(4, 1, 1, 1, False)
     with pytest.raises(ValueError):
-        TailFamily(1, 0, 1, 1, 1, False)
+        TailFamily(1, 0, 1, 1, False)
     with pytest.raises(dataclasses.FrozenInstanceError):
         t = initial_tail(1)
         t.base = 9
@@ -68,7 +68,7 @@ def test_reduce_step_variant1_stage1():
     assert (record.first_sign, record.second_sign) == (-1, 1)
     assert record.tail_signs == (1, -1)
     assert record.contribution == -1
-    assert (nxt.stage, nxt.base, nxt.step, nxt.product_start) == (2, 5, 2, 2)
+    assert (nxt.stage, nxt.base, nxt.step) == (2, 5, 2)
 
 
 def test_reduce_step_variant1_stage2():
@@ -85,15 +85,10 @@ def test_reduce_step_variant2_stage4():
     assert (nxt.base, nxt.step) == (35, 5)
 
 
-def test_reduce_step_rejects_mismatched_product_start():
-    crooked = TailFamily(1, 2, 5, 2, 3, False)
-    with pytest.raises(ValueError):
-        reduce_step(crooked)
-
-
 def forward_tail(t: TailFamily, order: int) -> tuple[int, ...]:
-    """The defining sum of x^(base + j*step) * prod_(i = p .. p+j-1) (1 - x^i),
-    added term by term from j = 0 up, each product one factor longer."""
+    """The defining sum of x^(base + j*step) * prod_(i = p .. p+j-1) (1 - x^i)
+    with p = step, added term by term from j = 0 up, each product one
+    factor longer."""
     acc = [0] * (order + 1)
     prod = [1] + [0] * order
     j, exponent = 0, t.base
@@ -101,7 +96,7 @@ def forward_tail(t: TailFamily, order: int) -> tuple[int, ...]:
         if j > 0 or t.includes_bare_head:
             for i in range(order + 1 - exponent):
                 acc[exponent + i] += prod[i]
-        k = t.product_start + j
+        k = t.step + j
         for i in range(order, k - 1, -1):
             prod[i] -= prod[i - k]
         j += 1
@@ -116,7 +111,6 @@ def tails_and_orders(draw):
         stage=draw(st.integers(1, 40)),
         base=draw(st.integers(1, 60)),
         step=draw(st.integers(1, 12)),
-        product_start=draw(st.integers(1, 12)),
         includes_bare_head=draw(st.booleans()),
     )
     return tail, draw(st.integers(0, 3 * tail.leading_exponent))
@@ -249,7 +243,6 @@ def test_stage_parameters_follow_recurrences():
         _, nxt = reduce_step(tail)
         assert nxt.base == tail.base + 3 * tail.step + 1
         assert nxt.step == tail.step + 1
-        assert nxt.product_start == tail.product_start + 1
         assert nxt.base == g_minus(nxt.stage)
         tail = nxt
 
@@ -303,6 +296,40 @@ def test_variants_emit_identical_term_multisets(order):
         )
         term_sets.append(terms)
     assert term_sets[0] == term_sets[1]
+
+
+@pytest.mark.parametrize("call, message", (
+    # each used to raise a bare TypeError, islice's error, or be accepted
+    (lambda: run_telescope(1, 12.5), "order must be an int, got 12.5"),
+    (lambda: run_telescope(True, 12), "variant must be an int, got True"),
+    (lambda: run_telescope(2.0, 12), "variant must be an int, got 2.0"),
+    (lambda: replay_stages(1, 2.0), "stages must be an int, got 2.0"),
+    (lambda: replay_stages(1, True), "stages must be an int, got True"),
+    (lambda: replay_stages(1, 3, 40.0), "order must be an int, got 40.0"),
+    (lambda: expand_tail(initial_tail(1), 12.0), "order must be an int, got 12.0"),
+    (lambda: expand_tail(initial_tail(1), True), "order must be an int, got True"),
+    (lambda: verify_step(initial_tail(1), 12.0), "order must be an int, got 12.0"),
+    (lambda: TailFamily(1, 2.0, 5, 2, True), "stage must be an int, got 2.0"),
+    (lambda: TailFamily(True, 1, 1, 1, False), "variant must be an int, got True"),
+    (lambda: TailFamily(1, 1, 1.0, 1, False), "base must be an int, got 1.0"),
+    (lambda: TailFamily(1, 1, 1, True, False), "step must be an int, got True"),
+    # names the order it was given, not the length of an empty series
+    (lambda: expand_tail(initial_tail(1), -5), "order must be >= 0, got -5"),
+))
+def test_entry_points_name_the_argument_they_reject(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize("variant", (1, 2))
+def test_each_emission_carries_the_sign_of_its_stage(variant):
+    records = run_telescope(variant, 1200).emissions
+    assert records
+    assert all(r.contribution == (-1) ** r.stage for r in records)
+    record = EmissionRecord(stage=4, first_exponent=22, second_exponent=26,
+                            first_sign=1, second_sign=1)
+    assert record.contribution == 1
+    assert record.tail_signs == (1, 1)
 
 
 def test_replay_stages_counts_and_validation():
