@@ -28,6 +28,16 @@ class PartitionTable:
 
     values: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        if not self.values:
+            raise ValueError("values must hold at least p(0), got none")
+        # one C-level pass over the types, since the partitions command
+        # builds tables of tens of thousands of entries; bools are not ints
+        if set(map(type, self.values)) != {int}:
+            bad = next(i for i, v in enumerate(self.values) if type(v) is not int)
+            raise ValueError(
+                f"values[{bad}] must be an int, got {self.values[bad]!r}")
+
     @property
     def max_n(self) -> int:
         """The largest n tabulated."""

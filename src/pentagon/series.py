@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import add as _int_add, sub as _int_sub
 from typing import Any
 
@@ -158,17 +159,30 @@ def mul_binomial(a: TruncatedSeries, k: int, c: int) -> TruncatedSeries:
 def _div_binomial_inplace(coeffs: list[int], k: int, start: int | None = None) -> None:
     """coeffs /= (1 - x^k) modulo x^len(coeffs): q_i = a_i + q_(i-k).
 
-    Block [i, i+k) needs only the block before it, which is already the
-    quotient, so each block is one C-level map. Updates begin at
-    ``start``, by default k, below which q_i = a_i. A later start is exact
-    when every entry below it already holds q_i: the verify cascade passes
-    2k + 1 for a list 1 + 0*x + ... + 0*x^k + O(x^(k+1)), whose q_i is
-    a_i + 0 up to x^(2k), so its first block reads x^(k+1)..x^(2k) as is.
-    The partition oracle passes 2k for a list 1 + O(x^(k+1)) whose x^k it
-    has just set to 1, so q_i = a_i up to x^(2k-1).
+    Updates begin at ``start``, by default k, below which q_i = a_i. A
+    later start is exact when every entry below it already holds q_i:
+    the verify cascade passes 2k + 1 for a list 1 + 0*x + ... + 0*x^k +
+    O(x^(k+1)), whose q_i is a_i + 0 up to x^(2k), so its first block
+    reads x^(k+1)..x^(2k) as is. The partition oracle passes 2k for a
+    list 1 + O(x^(k+1)) whose x^k it has just set to 1, so q_i = a_i up
+    to x^(2k-1).
+
+    Two paths do the same updates, chosen by k * k against the length n.
+    When k * k < n, each residue class mod k is a running sum: for j in
+    start - k..start - 1, ``accumulate`` rewrites coeffs[j::k], whose
+    first entry is already the quotient's. Otherwise block [i, i+k)
+    needs only the block before it, which is already the quotient, so
+    each block is one C-level map. Either way a step costs
+    min(k, n/k) Python-level iterations.
     """
-    for i in range(k if start is None else start, len(coeffs), k):
-        coeffs[i:i + k] = map(_int_add, coeffs[i:i + k], coeffs[i - k:i])
+    if start is None:
+        start = k
+    if k * k < len(coeffs):
+        for j in range(start - k, start):
+            coeffs[j::k] = accumulate(coeffs[j::k])
+    else:
+        for i in range(start, len(coeffs), k):
+            coeffs[i:i + k] = map(_int_add, coeffs[i:i + k], coeffs[i - k:i])
 
 
 def div_binomial(a: TruncatedSeries, k: int) -> TruncatedSeries:
@@ -181,6 +195,24 @@ def div_binomial(a: TruncatedSeries, k: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(out))
 
 
+def _times_dilated(a: list[int], b: list[int]) -> list[int]:
+    """a(x) * b(x^2) modulo x^len(a), as a new list.
+
+    Each nonzero b_e adds c * a from x^(2e) up in one shifted C-level
+    pass, so the cost is one pass per nonzero of b; a coefficient other
+    than +-1 is multiplied in exactly.
+    """
+    out = [0] * len(a)
+    for e, c in enumerate(b):
+        if c == 1:
+            out[2 * e:] = map(_int_add, out[2 * e:], a)
+        elif c == -1:
+            out[2 * e:] = map(_int_sub, out[2 * e:], a)
+        elif c:
+            out[2 * e:] = [t + c * h for t, h in zip(out[2 * e:], a)]
+    return out
+
+
 def product_range(first: int, last: int, order: int) -> TruncatedSeries:
     """prod of (1 - x^k) for k = first..last, modulo x^(order+1).
 
@@ -191,16 +223,31 @@ def product_range(first: int, last: int, order: int) -> TruncatedSeries:
     and x^k times those terms, which start at degree 2k + 1. Factor k
     thus costs 1 + max(0, order - 2k) updates: about order^2/4 in all,
     where applying the factors smallest first costs about order^2/2.
+
+    The full product (first == 1 and last >= order) takes a second path:
+    P_N = A(x) * P_(N//2)(x^2), where A is the product over the odd
+    k <= N, applied largest first in the same way (about N^2/8 updates),
+    and P_(N//2) comes from this function at order N//2. The product
+    over the even k is that half-order product at x^2, so multiplying it
+    in takes one pass of A per nonzero coefficient, about 2*sqrt(N/3) of
+    them; it is computed, not assumed, so any coefficient is multiplied
+    in exactly. About N^2/6 updates in all. Every other range keeps the
+    single sweep.
     """
     _require_int(first, "first")
     _require_int(last, "last")
     _require_int(order, "order")
     if first < 1:
         raise ValueError(f"factor range must start at >= 1, got {first}")
+    top = min(last, order)
+    full = first == 1 and last >= order
     cur = [1] + [0] * order
-    for k in range(min(last, order), first - 1, -1):
+    # the full product applies only its odd factors in this sweep
+    for k in range(top - 1 + top % 2, 0, -2) if full else range(top, first - 1, -1):
         cur[k] -= 1
         cur[2 * k + 1:] = map(_int_sub, cur[2 * k + 1:], cur[k + 1:])
+    if full and order > 1:
+        cur = _times_dilated(cur, product_range(1, order // 2, order // 2).coeffs)
     return TruncatedSeries(tuple(cur))
 
 
@@ -208,7 +255,11 @@ def partial_product(m: int, order: int) -> TruncatedSeries:
     """prod of (1 - x^k) for k = 1..m, modulo x^(order+1).
 
     The brute-force expansion of the full product, and the oracle every
-    other representation in the package is checked against.
+    other representation in the package is checked against. With
+    m >= order it is ``product_range``'s full-product path: the odd
+    factors times the half-order product at x^2, about order^2/6
+    updates; with m < order, the single largest-first sweep, about
+    order^2/4 at most.
     """
     _require_int(m, "m")
     if m < 1:

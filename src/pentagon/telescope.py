@@ -49,6 +49,10 @@ class TailFamily:
     def __post_init__(self) -> None:
         for name in ("variant", "stage", "base", "step"):
             _require_int(getattr(self, name), name)
+        # a truthy string or 1 would pass an if-test as True
+        if type(self.includes_bare_head) is not bool:
+            raise ValueError("includes_bare_head must be a bool, "
+                             f"got {self.includes_bare_head!r}")
         if self.variant not in (1, 2):
             raise ValueError(f"variant must be 1 or 2, got {self.variant}")
         if self.stage < 1 or self.base < 1 or self.step < 1:

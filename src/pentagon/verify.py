@@ -71,6 +71,13 @@ def _cascade(series: TruncatedSeries) -> Iterator[list[int]]:
     the quotient's, and the result starts 1 + 0*x + ... + 0*x^k again.
     The first step that finds another head divides in full, as does
     every step after it, so each quotient is exact for any input.
+
+    On the head path the steps do about order^2/4 coefficient updates in
+    all, against order^2/2 for full divisions. The kernel picks its loop
+    per step: while k * k < order + 1, one ``accumulate`` per residue
+    class mod k (k Python-level iterations), and from there on one
+    ``map`` per block of k coefficients (about order/k iterations), so
+    no step loops more than about sqrt(order) times.
     """
     coeffs = list(series.coeffs)
     yield coeffs

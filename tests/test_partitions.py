@@ -172,6 +172,18 @@ def test_table_validation_and_access():
         table[3]
 
 
+@pytest.mark.parametrize("values, message", (
+    ((), r"values must hold at least p\(0\), got none"),
+    ((1, 1.5), r"values\[1\] must be an int, got 1.5"),
+    ((1, True, 2), r"values\[1\] must be an int, got True"),
+    ((1, 1, "2"), r"values\[2\] must be an int, got '2'"),
+))
+def test_table_rejects_no_entries_and_entries_that_are_not_ints(values, message):
+    # an empty table used to have max_n == -1, and (1, 1.5)[1] returned 1.5
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PartitionTable(values)
+
+
 def test_recurrence_support_is_sparse_and_sorted():
     support = recurrence_support(100)
     offsets = [g for g, _ in support]

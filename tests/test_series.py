@@ -9,6 +9,7 @@ from pentagon.series import (
     TruncatedSeries,
     _div_binomial_inplace,
     _mul_binomial_inplace,
+    _times_dilated,
     add,
     div_binomial,
     format_series,
@@ -222,6 +223,37 @@ def test_div_binomial_kernel_from_a_later_start_finishes_the_quotient(case, data
     assert coeffs == expected
 
 
+# k * k against the list length picks the kernel's path: one length each
+# side of the switch and one on it, at every start the callers use and
+# at the top of the list and past it
+STRIDE_SWITCH_CASES = [
+    (k, k * k + offset, start)
+    for k in (1, 2, 3, 5, 8)
+    for offset in (-1, 0, 1)
+    for start in (k, 2 * k, 2 * k + 1, k * k + offset, k * k + offset + k)
+]
+
+
+@pytest.mark.parametrize("k, length, start", STRIDE_SWITCH_CASES)
+def test_div_binomial_kernel_on_both_sides_of_the_stride_switch(k, length, start):
+    sample = [(-1) ** i * (7 * i * i + 3 * i + 1) for i in range(length)]
+    expected = literal_div_binomial(sample, k)
+    coeffs = expected[:start] + sample[start:]
+    _div_binomial_inplace(coeffs, k, start)
+    assert coeffs == expected
+
+
+@given(series(max_order=40, coeff_bound=10**30),
+       series(max_order=40, coeff_bound=10**30))
+def test_times_dilated_matches_dense_mul(a, b):
+    # b(x^2) built densely; any coefficient of b counts, not only +-1
+    dilated = [0] * (a.order + 1)
+    for e, c in enumerate(b.coeffs[:a.order // 2 + 1]):
+        dilated[2 * e] = c
+    expected = mul(a, TruncatedSeries(tuple(dilated)))
+    assert _times_dilated(list(a.coeffs), list(b.coeffs)) == list(expected.coeffs)
+
+
 @given(series(), st.integers(1, 12), st.integers(-3, 3))
 def test_mul_binomial_matches_dense_mul(a, k, c):
     dense = monomial(k, a.order, c)
@@ -290,6 +322,15 @@ def test_product_range_empty_is_unit():
 def test_product_range_matches_the_ascending_chain(first, last, order):
     expected = ascending_product_range(first, last, order)
     assert product_range(first, last, order).coeffs == expected
+
+
+def test_full_product_path_matches_the_ascending_chain():
+    # last >= order takes the odd-factors-times-half-order path, last =
+    # order - 1 the single sweep
+    for order in range(201):
+        for last in (order - 1, order, order + 3):
+            expected = ascending_product_range(1, last, order)
+            assert product_range(1, last, order).coeffs == expected, (order, last)
 
 
 def test_product_range_splits_partial_product():

@@ -313,6 +313,10 @@ def test_variants_emit_identical_term_multisets(order):
     (lambda: TailFamily(True, 1, 1, 1, False), "variant must be an int, got True"),
     (lambda: TailFamily(1, 1, 1.0, 1, False), "base must be an int, got 1.0"),
     (lambda: TailFamily(1, 1, 1, True, False), "step must be an int, got True"),
+    # a string used to pass as true: reduce_step emitted (5, 7) for 'no'
+    (lambda: TailFamily(2, 2, 5, 2, "no"), "includes_bare_head must be a bool, got 'no'"),
+    (lambda: TailFamily(2, 2, 5, 2, 1), "includes_bare_head must be a bool, got 1"),
+    (lambda: TailFamily(2, 2, 5, 2, None), "includes_bare_head must be a bool, got None"),
     # names the order it was given, not the length of an empty series
     (lambda: expand_tail(initial_tail(1), -5), "order must be >= 0, got -5"),
 ))
