@@ -35,7 +35,11 @@ from .verify import full_verification
 
 
 def _int_at_least(low: int) -> Callable[[str], int]:
-    """An argparse type: an integer that is at least ``low``."""
+    """An argparse type: an integer from ``low`` up to ``sys.maxsize``.
+
+    Above ``sys.maxsize`` no list index reaches, so the commands would
+    overflow or never return.
+    """
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -43,6 +47,9 @@ def _int_at_least(low: int) -> Callable[[str], int]:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if value > sys.maxsize:
+            raise argparse.ArgumentTypeError(
+                f"must be <= {sys.maxsize}, got {value}")
         return value
     return parse
 

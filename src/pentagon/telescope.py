@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .pentagonal import g_minus
-from .series import TruncatedSeries, _mul_binomial_inplace, _require_int
+from .series import TruncatedSeries, _div_binomial_inplace, _require_int
 
 
 class StageVerificationError(RuntimeError):
@@ -172,12 +172,20 @@ def reduce_step(t: TailFamily) -> tuple[EmissionRecord, TailFamily]:
 def expand_tail(t: TailFamily, order: int) -> TruncatedSeries:
     """Numerically expand the tail's defining sum modulo x^(order+1).
 
-    Inside-out (Horner): the sum is x^base * S_0, where S_j = 1 + x^step
-    * (1 - x^(p+j)) * S_(j+1) and p = step. S_j only appears as
-    x^(base + j*step) * S_j, so cutting it at degree order - base - j*step
-    loses only exponents above the order; the last term reaching the
-    order has J = (order - base) // step, where that cut leaves S_J = 1.
-    Without the bare head, the j = 0 term (the 1 of S_0) is dropped.
+    With d = step = p, the sum is x^base * F(x^d, x^d), where F(a, z) is
+    the sum over j >= 0 of (a; x)_j * z^j and (a; x)_j = prod_(i < j)
+    (1 - a*x^i); without the bare head, the j = 0 term 1 is dropped.
+    (a; x)_(j+1) = (a; x)_j - a*x^j*(a; x)_j gives F(a, z)*(1 - z) =
+    1 - a*z*F(a, x*z), so F_K = F(x^d, x^K) satisfies
+
+        F_K = (1 - x^(d+K) * F_(K+1)) / (1 - x^K),   K = d, d+1, ...
+
+    F_d is needed to degree p_d = order - base, and F_(K+1) only to
+    p_(K+1) = p_K - d - K; F_K = 1 + O(x^K), so once p_K < K it is 1.
+    That leaves about min(depth/(2d), sqrt(2*depth)) levels, with depth
+    = order - base, each one in-place division by (1 - x^K). Level K is
+    built with the opposite sign to level K + 1, so it holds
+    (-1)^(K-d) * F_K and no pass negates a list.
     """
     _require_int(order, "order")
     if order < 0:
@@ -185,10 +193,18 @@ def expand_tail(t: TailFamily, order: int) -> TruncatedSeries:
     depth = order - t.base
     if depth < 0:
         return TruncatedSeries((0,) * (order + 1))
-    s = [1] + [0] * (depth % t.step)
-    for j in range(depth // t.step - 1, -1, -1):
-        _mul_binomial_inplace(s, t.step + j, -1)
-        s[:0] = [1] + [0] * (t.step - 1)
+    d = t.step
+    levels = []
+    k, p = d, depth
+    while p >= k:
+        levels.append((k, p))
+        k, p = k + 1, p - d - k
+    sign = -1 if len(levels) % 2 else 1
+    s = [sign] + [0] * p if p >= 0 else []
+    for k, p in reversed(levels):
+        sign = -sign
+        s = [sign] + [0] * min(d + k - 1, p) + s
+        _div_binomial_inplace(s, k)
     if not t.includes_bare_head:
         s[0] -= 1
     return TruncatedSeries((0,) * t.base + tuple(s))

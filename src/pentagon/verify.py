@@ -169,13 +169,10 @@ def _subtract_rotated(v: list[int], k: int) -> list[int]:
 def _vanishes_at_primitive_roots(d: int, m_max: int) -> Iterator[bool]:
     """For m = 1..m_max, whether P_m = prod_(k<=m)(1 - x^k) is 0 at zeta_d.
 
-    G = prod_(e|d, e<d)(1 - x^e) is 0 at the other d-th roots, all simple, so
-    G * P_m = 0 in Z[x]/(x^d - 1) iff P_m is 0 at every (conjugate) zeta_d.
+    If P_m is 0 at a primitive d-th root, some k <= m has d | k, and x^d - 1
+    divides (1 - x^k). So P_m = 0 in Z[x]/(x^d - 1) iff it is 0 at zeta_d.
     """
     v = [1] + [0] * (d - 1)
-    for e in range(1, d):
-        if d % e == 0:
-            v = _subtract_rotated(v, e)
     for k in range(1, m_max + 1):
         v = _subtract_rotated(v, k)
         yield not any(v)

@@ -260,6 +260,23 @@ def test_verify_order_one_exits_2(capsys):
     assert "argument --order: must be >= 2, got 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, name", (
+    # expand and verify used to overflow with a traceback; telescope and
+    # partitions never returned, telescope growing its memory as it went
+    (["expand", "--order"], "--order"),
+    (["verify", "--order"], "--order"),
+    (["telescope", "--variant", "1", "--order"], "--order"),
+    (["partitions", "--upto"], "--upto"),
+), ids=("expand", "verify", "telescope", "partitions"))
+def test_bounds_above_the_index_range_exit_2(capsys, argv, name):
+    too_big = sys.maxsize + 1
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + [str(too_big)])
+    assert excinfo.value.code == 2
+    assert (f"argument {name}: must be <= {sys.maxsize}, got {too_big}"
+            in capsys.readouterr().err)
+
+
 def test_bench_is_not_a_command(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["bench", "--upto", "500"])

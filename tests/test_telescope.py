@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import pentagon.telescope
 from pentagon.pentagonal import closed_form_series, g_minus, g_plus
-from pentagon.series import format_series
+from pentagon.series import _mul_binomial_inplace, format_series
 from pentagon.telescope import (
     PREFIX_TERMS,
     EmissionRecord,
@@ -104,6 +104,21 @@ def forward_tail(t: TailFamily, order: int) -> tuple[int, ...]:
     return tuple(acc)
 
 
+def horner_tail(t: TailFamily, order: int) -> tuple[int, ...]:
+    """The same sum inside out: x^base * S_0, S_j = 1 + x^step * (1 - x^(p+j))
+    * S_(j+1), each S_j cut at degree order - base - j*step."""
+    depth = order - t.base
+    if depth < 0:
+        return (0,) * (order + 1)
+    s = [1] + [0] * (depth % t.step)
+    for j in range(depth // t.step - 1, -1, -1):
+        _mul_binomial_inplace(s, t.step + j, -1)
+        s[:0] = [1] + [0] * (t.step - 1)
+    if not t.includes_bare_head:
+        s[0] -= 1
+    return (0,) * t.base + tuple(s)
+
+
 @st.composite
 def tails_and_orders(draw):
     tail = TailFamily(
@@ -140,6 +155,45 @@ def test_expand_tail_matches_forward_sum_on_every_stage(monkeypatch, variant):
     for t, order, expansion in expansions:
         assert order == 1200
         assert expansion.coeffs == forward_tail(t, order)
+
+
+@pytest.mark.parametrize("variant", (1, 2))
+def test_expand_tail_matches_horner_on_every_stage_at_order_3000(variant):
+    t = initial_tail(variant)
+    while t.leading_exponent <= 3000:
+        assert expand_tail(t, 3000).coeffs == horner_tail(t, 3000), t
+        _, t = reduce_step(t)
+    assert expand_tail(t, 3000).coeffs == horner_tail(t, 3000) == (0,) * 3001
+
+
+@pytest.mark.parametrize("includes_bare_head", (False, True))
+@pytest.mark.parametrize("step", (1, 2, 3, 7, 12))
+def test_expand_tail_where_the_z_recursion_stops(step, includes_bare_head):
+    # Level K = step + i is needed to degree p_K = depth - 2*step*i - i(i-1)/2
+    # and stops once p_K < K; these depths put p_K at K - 1, K and K + 1.
+    for base in (1, 5):
+        tail = TailFamily(1, 1, base, step, includes_bare_head)
+        for i in range(4):
+            k = step + i
+            for p in (k - 1, k, k + 1):
+                order = base + p + 2 * step * i + i * (i - 1) // 2
+                assert expand_tail(tail, order).coeffs == forward_tail(tail, order), (
+                    base, i, p)
+
+
+def test_expand_tail_divides_once_per_level(monkeypatch):
+    divided = []
+    real = pentagon.telescope._div_binomial_inplace
+
+    def spy(coeffs, k):
+        divided.append(k)
+        real(coeffs, k)
+
+    monkeypatch.setattr(pentagon.telescope, "_div_binomial_inplace", spy)
+    # depth 2499 at step 1: p_K = 2499 - (K-1) - K(K-1)/2 stays >= K up to K = 69
+    expand_tail(initial_tail(1), 2500)
+    # (one step per term, as Horner did, would take 2499 steps)
+    assert divided == list(range(69, 0, -1))
 
 
 def test_expand_tail_frozen_values():

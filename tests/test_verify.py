@@ -203,6 +203,13 @@ def test_eval_zero_iff_enough_factors():
                 assert is_zero == (m >= d), (d, entry.j, m)
 
 
+def test_exact_zero_test_holds_exactly_from_m_equal_d():
+    # P_m = 0 in Z[x]/(x^d - 1) exactly from m = d on, for every d <= 60
+    for d in range(1, 61):
+        zeros = list(pentagon.verify._vanishes_at_primitive_roots(d, 2 * d))
+        assert zeros == [m >= d for m in range(1, 2 * d + 1)], d
+
+
 def test_eval_at_one_matches_product_value():
     # at d=1 the root is x=1 and every factor vanishes
     magnitude, is_zero = eval_partial_product_at_root(1, 1, 4)
