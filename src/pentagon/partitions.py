@@ -17,7 +17,7 @@ from operator import itemgetter
 
 from .pentagonal import pentagonal_terms_upto
 from .series import (TruncatedSeries, _check_index, _div_binomial_inplace,
-                     _require_int, make_series)
+                     _require_int, _require_int_tuple, make_series)
 
 ENUMERATION_LIMIT = 45
 
@@ -29,14 +29,9 @@ class PartitionTable:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _require_int_tuple(self.values, "values")
         if not self.values:
             raise ValueError("values must hold at least p(0), got none")
-        # one C-level pass over the types, since the partitions command
-        # builds tables of tens of thousands of entries; bools are not ints
-        if set(map(type, self.values)) != {int}:
-            bad = next(i for i, v in enumerate(self.values) if type(v) is not int)
-            raise ValueError(
-                f"values[{bad}] must be an int, got {self.values[bad]!r}")
 
     @property
     def max_n(self) -> int:

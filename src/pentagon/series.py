@@ -28,6 +28,7 @@ class TruncatedSeries:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _require_int_tuple(self.coeffs, "coeffs")
         if not self.coeffs:
             raise ValueError(f"order must be >= 0, got {self.order}")
 
@@ -70,6 +71,15 @@ def _require_int(value: object, name: str) -> None:
         raise ValueError(f"{name} must be an int, got {value!r}")
 
 
+def _require_int_tuple(values: object, name: str) -> None:
+    # one C-level pass over the types; a list could still grow or change
+    if type(values) is not tuple:
+        raise ValueError(f"{name} must be a tuple, got {type(values).__name__}")
+    if set(map(type, values)) - {int}:
+        bad = next(i for i, v in enumerate(values) if type(v) is not int)
+        raise ValueError(f"{name}[{bad}] must be an int, got {values[bad]!r}")
+
+
 def _check_index(index: object, last: int, name: str) -> None:
     # a negative index would wrap to the top and a slice would return a
     # tuple; IndexError stays the out-of-range type so iteration stops
@@ -84,15 +94,9 @@ def make_series(coeffs: list[int] | tuple[int, ...], order: int) -> TruncatedSer
     _require_int(order, "order")
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    bad = next((i for i, c in enumerate(coeffs) if type(c) is not int), None)
-    if bad is not None:
-        raise ValueError(f"coeffs[{bad}] must be an int, got {coeffs[bad]!r}")
     if len(coeffs) > order + 1:
-        raise ValueError(
-            f"{len(coeffs)} coefficients do not fit in order {order}"
-        )
-    padded = list(coeffs) + [0] * (order + 1 - len(coeffs))
-    return TruncatedSeries(tuple(padded))
+        raise ValueError(f"{len(coeffs)} coefficients do not fit in order {order}")
+    return TruncatedSeries(tuple(coeffs) + (0,) * (order + 1 - len(coeffs)))
 
 
 def one(order: int) -> TruncatedSeries:
@@ -133,16 +137,24 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(tuple(out))
 
 
-def _mul_binomial_inplace(coeffs: list[int], k: int, c: int) -> None:
-    """coeffs *= (1 + c*x^k) modulo x^len(coeffs).
+def _mul_binomial_inplace(coeffs: list[int], k: int, c: int,
+                          start: int | None = None) -> None:
+    """coeffs *= (1 + c*x^k) modulo x^len(coeffs): p_i = a_i + c*a_(i-k).
 
-    The right-hand side is built in full before the slice is assigned, so
-    every term reads the old coefficients; ``map`` stops with coeffs[k:].
+    Updates begin at ``start``, by default k. A later start is exact when
+    the entries below it already hold p_i and those at start - k..start - 1
+    still hold a_i: ``product_range`` passes 2k + 1 for a list
+    1 + O(x^(k+1)) whose x^k it has just decremented. The right-hand side
+    is built in full before the slice is assigned, so every term reads the
+    old coefficients.
     """
+    if start is None:
+        start = k
+    low = coeffs[start - k:]
     if c == -1:
-        coeffs[k:] = map(_int_sub, coeffs[k:], coeffs)
+        coeffs[start:] = map(_int_sub, coeffs[start:], low)
     else:
-        coeffs[k:] = [t + c * h for t, h in zip(coeffs[k:], coeffs)]
+        coeffs[start:] = [t + c * h for t, h in zip(coeffs[start:], low)]
 
 
 def mul_binomial(a: TruncatedSeries, k: int, c: int) -> TruncatedSeries:
@@ -220,8 +232,9 @@ def product_range(first: int, last: int, order: int) -> TruncatedSeries:
     k > order are identities at this order and are skipped. The factors
     are applied largest first, so before factor k the running product is
     1 plus terms of degree > k: multiplying by (1 - x^k) subtracts x^k
-    and x^k times those terms, which start at degree 2k + 1. Factor k
-    thus costs 1 + max(0, order - 2k) updates: about order^2/4 in all,
+    and x^k times those terms, which start at degree 2k + 1, so the
+    sweep decrements x^k and runs the multiply kernel from there. Factor
+    k thus costs 1 + max(0, order - 2k) updates: about order^2/4 in all,
     where applying the factors smallest first costs about order^2/2.
 
     The full product (first == 1 and last >= order) takes a second path:
@@ -245,7 +258,7 @@ def product_range(first: int, last: int, order: int) -> TruncatedSeries:
     # the full product applies only its odd factors in this sweep
     for k in range(top - 1 + top % 2, 0, -2) if full else range(top, first - 1, -1):
         cur[k] -= 1
-        cur[2 * k + 1:] = map(_int_sub, cur[2 * k + 1:], cur[k + 1:])
+        _mul_binomial_inplace(cur, k, -1, 2 * k + 1)
     if full and order > 1:
         cur = _times_dilated(cur, product_range(1, order // 2, order // 2).coeffs)
     return TruncatedSeries(tuple(cur))

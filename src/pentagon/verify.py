@@ -16,12 +16,11 @@ assignment for k > order/2. A list without that head, which only a wrong
 quotient has, is divided in full from there on, so every step is exact.
 Consumers: ``division_cascade`` fingerprints each quotient,
 ``cascade_quotient`` copies the step it is asked for, and
-``full_verification`` compares the sampled quotients with the remaining
-products as exact coefficient tuples. Those products come from one
-descending sweep of binomial multiplications, largest factor first, that
-ends at the full product, and each root order d takes one running
-product of rotate-and-subtract steps that decides every primitive d-th
-root at once.
+``full_verification`` multiplies each sampled quotient back by the
+factors it lost and compares the result with the full product, which it
+builds as ``expand`` does, as exact coefficient lists. Each root order d
+takes one running product of rotate-and-subtract steps that decides
+every primitive d-th root at once.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from operator import sub
 
 from .pentagonal import closed_form_series
 from .series import (TruncatedSeries, _div_binomial_inplace,
-                     _mul_binomial_inplace, _require_int, product_range)
+                     _mul_binomial_inplace, _require_int, partial_product)
 
 
 def series_fingerprint(s: TruncatedSeries) -> str:
@@ -157,6 +156,8 @@ class RootEntry:
 def primitive_root_entries(d: int) -> list[RootEntry]:
     """All primitive d-th roots, one entry per residue coprime to d."""
     _require_int(d, "d")
+    if d < 1:
+        raise ValueError(f"root order must be >= 1, got {d}")
     return [RootEntry(d, j) for j in range(1, d + 1) if gcd(j, d) == 1]
 
 
@@ -221,8 +222,11 @@ class CheckResult:
 def full_verification(order: int, roots_max_d: int = 12) -> list[CheckResult]:
     """The whole suite at one order: closed form, cascade, roots.
 
-    Returns one result per check group; the detail of a failing group
-    pinpoints the first mismatch found.
+    The product is ``partial_product(order, order)``, as ``expand``
+    builds it. Each sampled quotient Q_m is multiplied back by (1 - x^k)
+    for k = m..1 and compared with it: P_m is a unit of the truncated
+    ring, so Q_m * P_m is the product exactly when Q_m is the remaining
+    product. The detail of a failing group pinpoints its first mismatch.
     """
     _require_int(order, "order")
     _require_int(roots_max_d, "roots_max_d")
@@ -232,43 +236,29 @@ def full_verification(order: int, roots_max_d: int = 12) -> list[CheckResult]:
         raise ValueError(f"roots_max_d must be >= 1, got {roots_max_d}")
     results = []
 
-    # The remaining products after the sampled steps and the full
-    # product, built in one list by one descending sweep of multiplications.
     sampled = [m for m in (1, 5, 50) if m <= order]
-    product = list(product_range(sampled[-1] + 1, order, order).coeffs)
-    rests = {sampled[-1]: product[:]}
-    for k in range(sampled[-1], 0, -1):
-        _mul_binomial_inplace(product, k, -1)
-        if k - 1 in sampled:
-            rests[k - 1] = product[:]
+    product = list(partial_product(order, order).coeffs)
 
     closed = closed_form_series(order)
-    if list(closed.coeffs) == product:
-        results.append(CheckResult(
-            "closed form equals product", True, f"order {order}"))
-    else:
-        e = next(i for i, (a, b) in enumerate(zip(closed.coeffs, product))
-                 if a != b)
-        results.append(CheckResult(
-            "closed form equals product", False,
-            f"first mismatch at x^{e}: closed form {closed[e]}, product {product[e]}"))
+    e = next((i for i, a in enumerate(closed.coeffs) if a != product[i]), None)
+    results.append(CheckResult("closed form equals product", e is None, (
+        f"order {order}" if e is None else
+        f"first mismatch at x^{e}: closed form {closed[e]}, product {product[e]}")))
 
-    bad = None
+    failure = None
     for m, q in enumerate(_cascade(closed)):
-        if m in rests and q != rests[m]:
-            bad = m
-            break
-    if bad is not None:
-        results.append(CheckResult(
-            "division cascade", False,
-            f"quotient after step {bad} differs from the remaining product"))
-    elif q == [1] + [0] * order:
-        results.append(CheckResult(
-            "division cascade", True,
-            f"order {order}, final quotient 1, intermediates at {sampled}"))
-    else:
-        results.append(CheckResult(
-            "division cascade", False, "final quotient is not 1"))
+        if m in sampled:
+            # the default start: a wrong quotient has no head to skip
+            restored = q[:]
+            for k in range(m, 0, -1):
+                _mul_binomial_inplace(restored, k, -1)
+            if restored != product:
+                failure = f"quotient after step {m} differs from the remaining product"
+                break
+    if failure is None and q != [1] + [0] * order:
+        failure = "final quotient is not 1"
+    results.append(CheckResult("division cascade", failure is None, failure or (
+        f"order {order}, final quotient 1, intermediates at {sampled}")))
 
     m_max = 2 * roots_max_d
     mismatch = _first_root_mismatch(roots_max_d, m_max)

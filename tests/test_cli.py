@@ -171,6 +171,28 @@ def test_partitions_upto_10000_bytes_are_pinned(capsys, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("fmt, digest", (
+    ((), "94494144ec8f7f98369c5789c7482ca7300f9d35059c1f9c04ca85b59b11a4e3"),
+    (("--json",), "efa99a54d3af1b20b95951b2f5b249391bc2407cba7adee74c1d0a7aa745917b"),
+    (("--csv",), "aa119556f7a044e2d60c865c8b2c114acf679c0010e6b6a96be67f2b1afd6b7f"),
+))
+def test_expand_order_2000_bytes_are_pinned(capsys, fmt, digest):
+    code, out = run_cli(capsys, "expand", "--order", "2000", *fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt, digest", (
+    ((), "fceb579c955098ca9ef75ecf8a8201f34062788d648c86c6e6a49f94752a790f"),
+    (("--json",), "9cc823e998e778a2844e4dfa99d945bb374d13f482699d417173894f9c44058c"),
+))
+def test_verify_order_2500_bytes_are_pinned(capsys, fmt, digest):
+    code, out = run_cli(capsys, "verify", "--order", "2500", "--roots-max-d", "40",
+                        *fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_partitions_json_uses_decimal_strings(capsys):
     code, out = run_cli(capsys, "partitions", "--upto", "10", "--json")
     assert code == 0

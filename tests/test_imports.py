@@ -1,0 +1,49 @@
+"""Source hygiene: every module-level import is used, every export exists."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import pentagon
+
+MODULES = sorted(Path(pentagon.__file__).parent.glob("*.py"))
+
+
+def exported_names(tree):
+    """The names a module-level ``__all__`` assignment lists."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def imported_names(tree):
+    """(name, line) for each name a module-level import binds."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_module_level_import_is_used_or_exported(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= exported_names(tree)
+    unused = [f"{name} (line {line})" for name, line in imported_names(tree)
+              if name not in used]
+    assert unused == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_all_entry_resolves(path):
+    module = importlib.import_module(
+        "pentagon" if path.stem == "__init__" else f"pentagon.{path.stem}")
+    missing = [name for name in getattr(module, "__all__", ())
+               if not hasattr(module, name)]
+    assert missing == []

@@ -177,6 +177,7 @@ def test_table_validation_and_access():
     ((1, 1.5), r"values\[1\] must be an int, got 1.5"),
     ((1, True, 2), r"values\[1\] must be an int, got True"),
     ((1, 1, "2"), r"values\[2\] must be an int, got '2'"),
+    ([1, 1], r"values must be a tuple, got list"),
 ))
 def test_table_rejects_no_entries_and_entries_that_are_not_ints(values, message):
     # an empty table used to have max_n == -1, and (1, 1.5)[1] returned 1.5

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
+import pentagon.series
 from pentagon.series import (
     TruncatedSeries,
     _div_binomial_inplace,
@@ -82,6 +83,19 @@ def test_make_series_rejects_overflow_and_bad_order():
         make_series([1, 2, 3], 1)
     with pytest.raises(ValueError, match=r"^order must be >= 0, got -1$"):
         TruncatedSeries(())
+
+
+@pytest.mark.parametrize("coeffs, message", (
+    ((1.5, 2), r"coeffs\[0\] must be an int, got 1.5"),
+    ((1, 2, True), r"coeffs\[2\] must be an int, got True"),
+    ((True,), r"coeffs\[0\] must be an int, got True"),
+    ([1, 2], r"coeffs must be a tuple, got list"),
+))
+def test_series_rejects_a_list_and_entries_that_are_not_ints(coeffs, message):
+    # a float reached mul and the JSON export, and a list stayed mutable
+    # and unhashable, so its order changed when it grew
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TruncatedSeries(coeffs)
 
 
 def test_order_is_the_coefficient_count_less_one():
@@ -202,6 +216,53 @@ def test_mul_binomial_kernel_matches_the_literal_loop(case, c):
     expected = literal_mul_binomial(coeffs, k, c)
     _mul_binomial_inplace(coeffs, k, c)
     assert coeffs == expected
+
+
+@given(kernel_cases(), st.one_of(st.sampled_from((-1, 1)),
+                                 st.integers(-10**40, 10**40)), st.data())
+def test_mul_binomial_kernel_from_a_later_start_finishes_the_product(case, c, data):
+    # zeros k below start - k..start - 1 leave those entries as they are,
+    # and the entries below start already hold the product
+    coeffs, k = case
+    start = data.draw(st.integers(k, len(coeffs) + k))
+    for i in range(max(0, start - 2 * k), min(start - k, len(coeffs))):
+        coeffs[i] = 0
+    expected = literal_mul_binomial(coeffs, k, c)
+    assert expected[start - k:start] == coeffs[start - k:start]
+    coeffs[:start] = expected[:start]
+    _mul_binomial_inplace(coeffs, k, c, start)
+    assert coeffs == expected
+
+
+def spy_on_mul_kernel(monkeypatch):
+    """Record the arguments after the list of every multiply-kernel call."""
+    calls = []
+    original = pentagon.series._mul_binomial_inplace
+
+    def recorded(coeffs, *args):
+        calls.append(args)
+        original(coeffs, *args)
+
+    monkeypatch.setattr(pentagon.series, "_mul_binomial_inplace", recorded)
+    return calls
+
+
+def test_full_product_sweeps_start_each_odd_factor_at_2k_plus_1(monkeypatch):
+    reference = ascending_product_range(1, 300, 300)
+    calls = spy_on_mul_kernel(monkeypatch)
+    assert product_range(1, 300, 300).coeffs == reference
+    expected, n = [], 300
+    while n:  # the odd factors at 300, then at each nested half order
+        expected += [(k, -1, 2 * k + 1) for k in range(n, 0, -1) if k % 2]
+        n //= 2
+    assert calls == expected
+
+
+def test_partial_range_sweep_starts_every_factor_at_2k_plus_1(monkeypatch):
+    reference = ascending_product_range(5, 40, 60)
+    calls = spy_on_mul_kernel(monkeypatch)
+    assert product_range(5, 40, 60).coeffs == reference
+    assert calls == [(k, -1, 2 * k + 1) for k in range(40, 4, -1)]
 
 
 @given(kernel_cases())

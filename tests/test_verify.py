@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 import pentagon.verify
 from pentagon.pentagonal import closed_form_series
 from pentagon.series import (
+    TruncatedSeries,
     div_binomial,
     make_series,
     one,
@@ -157,6 +158,13 @@ def test_root_multiplicity_counts_divisible_factors(d, m):
     assert root_multiplicity(d, m) == sum(1 for k in range(1, m + 1) if k % d == 0)
 
 
+@pytest.mark.parametrize("d", (0, -3))
+def test_root_entries_reject_a_root_order_below_1(d):
+    # they returned [] where RootEntry rejects the same d
+    with pytest.raises(ValueError, match=f"^root order must be >= 1, got {d}$"):
+        primitive_root_entries(d)
+
+
 def test_root_entries_are_primitive():
     assert [e.j for e in primitive_root_entries(1)] == [1]
     assert [e.j for e in primitive_root_entries(12)] == [1, 5, 7, 11]
@@ -288,18 +296,52 @@ def test_full_verification_reports_a_corrupted_quotient(monkeypatch):
 
 
 def test_full_verification_reports_a_corrupted_product(monkeypatch):
-    original = pentagon.verify._mul_binomial_inplace
+    original = pentagon.verify.partial_product
 
-    def corrupt_last_factor(coeffs, k, c):
-        original(coeffs, k, c)
-        if k == 1:
-            coeffs[4] += 1
+    def corrupt_x4(m, order):
+        coeffs = list(original(m, order).coeffs)
+        coeffs[4] += 1
+        return TruncatedSeries(tuple(coeffs))
 
-    monkeypatch.setattr(pentagon.verify, "_mul_binomial_inplace", corrupt_last_factor)
+    monkeypatch.setattr(pentagon.verify, "partial_product", corrupt_x4)
     closed, cascade, roots = full_verification(60, 6)
-    assert cascade.passed and roots.passed
+    assert roots.passed
     assert not closed.passed
     assert closed.detail == "first mismatch at x^4: closed form 0, product 1"
+    # the quotients are multiplied back to the same product, so the
+    # first sampled one differs from it too
+    assert not cascade.passed
+    assert cascade.detail == "quotient after step 1 differs from the remaining product"
+
+
+def test_full_verification_reports_a_corrupted_multiply_back(monkeypatch):
+    original = pentagon.verify._mul_binomial_inplace
+
+    def corrupt_factor_5(coeffs, k, *args):
+        original(coeffs, k, *args)
+        if k == 5:
+            coeffs[9] += 1
+
+    monkeypatch.setattr(pentagon.verify, "_mul_binomial_inplace", corrupt_factor_5)
+    closed, cascade, roots = full_verification(60, 6)
+    assert closed.passed and roots.passed
+    assert not cascade.passed
+    assert cascade.detail == "quotient after step 5 differs from the remaining product"
+
+
+def test_full_verification_multiplies_each_sampled_quotient_back_in_full(monkeypatch):
+    calls = []
+    original = pentagon.verify._mul_binomial_inplace
+
+    def recorded(coeffs, *args):
+        calls.append(args)
+        original(coeffs, *args)
+
+    monkeypatch.setattr(pentagon.verify, "_mul_binomial_inplace", recorded)
+    assert all(c.passed for c in full_verification(300, 6))
+    # k = m..1 after each sampled step m, from the default start
+    assert calls == [(k, -1) for m in (1, 5, 50) for k in range(m, 0, -1)]
+    assert len(calls) == 1 + 5 + 50
 
 
 def test_full_verification_divides_once_per_factor_and_hashes_nothing(monkeypatch):
