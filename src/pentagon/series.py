@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import add as _int_add, sub as _int_sub
-from typing import Any
+from typing import Any, Iterable
 
 
 @dataclass(frozen=True)
@@ -125,36 +125,43 @@ def sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Schoolbook convolution, truncated to the smaller order."""
+    """Product truncated to the smaller order: one pass over b per nonzero a_i."""
     n = min(len(a.coeffs), len(b.coeffs))
-    out = [0] * n
-    bc = b.coeffs
-    for i, ai in enumerate(a.coeffs[:n]):
-        if ai == 0:
-            continue
-        for j in range(n - i):
-            out[i + j] += ai * bc[j]
-    return TruncatedSeries(tuple(out))
+    return TruncatedSeries(tuple(_times_sparse(b.coeffs[:n], enumerate(a.coeffs[:n]))))
 
 
-def _mul_binomial_inplace(coeffs: list[int], k: int, c: int,
-                          start: int | None = None) -> None:
-    """coeffs *= (1 + c*x^k) modulo x^len(coeffs): p_i = a_i + c*a_(i-k).
+def _mul_binomial_inplace(coeffs: list[int], k: int, start: int | None = None) -> None:
+    """coeffs *= (1 - x^k) modulo x^len(coeffs): p_i = a_i - a_(i-k).
 
     Updates begin at ``start``, by default k. A later start is exact when
     the entries below it already hold p_i and those at start - k..start - 1
     still hold a_i: ``product_range`` passes 2k + 1 for a list
-    1 + O(x^(k+1)) whose x^k it has just decremented. The right-hand side
-    is built in full before the slice is assigned, so every term reads the
-    old coefficients.
+    1 + O(x^(k+1)) whose x^k it has just decremented. Both slices are
+    copied before the assignment, so every term reads the old
+    coefficients.
     """
     if start is None:
         start = k
-    low = coeffs[start - k:]
-    if c == -1:
-        coeffs[start:] = map(_int_sub, coeffs[start:], low)
-    else:
-        coeffs[start:] = [t + c * h for t, h in zip(coeffs[start:], low)]
+    coeffs[start:] = map(_int_sub, coeffs[start:], coeffs[start - k:])
+
+
+def _times_sparse(a: list[int] | tuple[int, ...],
+                  terms: Iterable[tuple[int, int]]) -> list[int]:
+    """a * (the sum of c*x^e over the (e, c) in terms) modulo x^len(a), as a new list.
+
+    Each nonzero c adds c * a from x^e up in one shifted C-level pass, so
+    the cost is one pass per nonzero term: an add or a subtract for +-1,
+    and any other coefficient multiplied in exactly.
+    """
+    out = [0] * len(a)
+    for e, c in terms:
+        if c == 1:
+            out[e:] = map(_int_add, out[e:], a)
+        elif c == -1:
+            out[e:] = map(_int_sub, out[e:], a)
+        elif c:
+            out[e:] = [t + c * h for t, h in zip(out[e:], a)]
+    return out
 
 
 def mul_binomial(a: TruncatedSeries, k: int, c: int) -> TruncatedSeries:
@@ -163,9 +170,7 @@ def mul_binomial(a: TruncatedSeries, k: int, c: int) -> TruncatedSeries:
     _require_int(c, "c")
     if k < 1:
         raise ValueError(f"binomial exponent must be >= 1, got {k}")
-    out = list(a.coeffs)
-    _mul_binomial_inplace(out, k, c)
-    return TruncatedSeries(tuple(out))
+    return TruncatedSeries(tuple(_times_sparse(a.coeffs, ((0, 1), (k, c)))))
 
 
 def _div_binomial_inplace(coeffs: list[int], k: int, start: int | None = None) -> None:
@@ -207,24 +212,6 @@ def div_binomial(a: TruncatedSeries, k: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(out))
 
 
-def _times_dilated(a: list[int], b: list[int]) -> list[int]:
-    """a(x) * b(x^2) modulo x^len(a), as a new list.
-
-    Each nonzero b_e adds c * a from x^(2e) up in one shifted C-level
-    pass, so the cost is one pass per nonzero of b; a coefficient other
-    than +-1 is multiplied in exactly.
-    """
-    out = [0] * len(a)
-    for e, c in enumerate(b):
-        if c == 1:
-            out[2 * e:] = map(_int_add, out[2 * e:], a)
-        elif c == -1:
-            out[2 * e:] = map(_int_sub, out[2 * e:], a)
-        elif c:
-            out[2 * e:] = [t + c * h for t, h in zip(out[2 * e:], a)]
-    return out
-
-
 def product_range(first: int, last: int, order: int) -> TruncatedSeries:
     """prod of (1 - x^k) for k = first..last, modulo x^(order+1).
 
@@ -241,11 +228,12 @@ def product_range(first: int, last: int, order: int) -> TruncatedSeries:
     P_N = A(x) * P_(N//2)(x^2), where A is the product over the odd
     k <= N, applied largest first in the same way (about N^2/8 updates),
     and P_(N//2) comes from this function at order N//2. The product
-    over the even k is that half-order product at x^2, so multiplying it
-    in takes one pass of A per nonzero coefficient, about 2*sqrt(N/3) of
-    them; it is computed, not assumed, so any coefficient is multiplied
-    in exactly. About N^2/6 updates in all. Every other range keeps the
-    single sweep.
+    over the even k is that half-order product at x^2, so it is
+    multiplied in as the sparse terms (2e, c) for its nonzero c: one
+    pass of A per term, about 2*sqrt(N/3) of them. The terms are
+    computed, not assumed, so any coefficient is multiplied in exactly.
+    About N^2/6 updates in all. Every other range keeps the single
+    sweep.
     """
     _require_int(first, "first")
     _require_int(last, "last")
@@ -258,9 +246,10 @@ def product_range(first: int, last: int, order: int) -> TruncatedSeries:
     # the full product applies only its odd factors in this sweep
     for k in range(top - 1 + top % 2, 0, -2) if full else range(top, first - 1, -1):
         cur[k] -= 1
-        _mul_binomial_inplace(cur, k, -1, 2 * k + 1)
+        _mul_binomial_inplace(cur, k, 2 * k + 1)
     if full and order > 1:
-        cur = _times_dilated(cur, product_range(1, order // 2, order // 2).coeffs)
+        half = product_range(1, order // 2, order // 2)
+        cur = _times_sparse(cur, [(2 * e, c) for e, c in half.nonzero_terms()])
     return TruncatedSeries(tuple(cur))
 
 

@@ -142,22 +142,21 @@ def reduce_step(t: TailFamily) -> tuple[EmissionRecord, TailFamily]:
     Splitting (1 - x^p) off each term and pairing the shifted copy of
     term j with term j+1 needs p == step, which every tail has; the
     pairing then collapses to a single tail with base + 3*step + 1,
-    step + 1.
+    step + 1. The record holds the signs in the series, (c, c) with a
+    bare head and (c, -c) without, for c = (-1)^stage the tail's own.
     """
     b, d = t.base, t.step
-    if t.includes_bare_head:
-        e1, e2 = b, b + d
-        tail_signs = (1, 1)
-    else:
-        e1, e2 = b + d, b + 3 * d + 1
-        tail_signs = (1, -1)
     c = t.contribution_sign
+    if t.includes_bare_head:
+        e1, e2, s2 = b, b + d, c
+    else:
+        e1, e2, s2 = b + d, b + 3 * d + 1, -c
     record = EmissionRecord(
         stage=t.stage,
         first_exponent=e1,
         second_exponent=e2,
-        first_sign=tail_signs[0] * c,
-        second_sign=tail_signs[1] * c,
+        first_sign=c,
+        second_sign=s2,
     )
     nxt = TailFamily(
         variant=t.variant,

@@ -38,10 +38,15 @@ from .series import (TruncatedSeries, _div_binomial_inplace,
                      _mul_binomial_inplace, _require_int, partial_product)
 
 
+def _fingerprint(coeffs: list[int] | tuple[int, ...]) -> str:
+    # the cascade hashes its list as it stands, without building a series
+    payload = f"order={len(coeffs) - 1};" + ",".join(map(str, coeffs))
+    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+
+
 def series_fingerprint(s: TruncatedSeries) -> str:
     """Stable content hash of a series: order plus decimal coefficients."""
-    payload = f"order={s.order};" + ",".join(str(c) for c in s.coeffs)
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+    return _fingerprint(s.coeffs)
 
 
 @dataclass(frozen=True)
@@ -103,8 +108,7 @@ def division_cascade(order: int) -> CascadeReport:
     q = next(quotients)
     steps = []
     for k, q in enumerate(quotients, 1):
-        steps.append(CascadeStep(k, series_fingerprint(
-            TruncatedSeries(tuple(q)))))
+        steps.append(CascadeStep(k, _fingerprint(q)))
     return CascadeReport(order, tuple(steps), q == [1] + [0] * order)
 
 
@@ -184,12 +188,16 @@ def eval_partial_product_at_root(d: int, j: int, m: int) -> tuple[float, bool]:
 
     is_zero is exact; the float magnitude, with angles reduced mod d in
     integers so a vanishing factor is exactly 0.0, is for information.
+    For m < d no factor vanishes, as no k <= m is a multiple of d, so
+    is_zero is False without the sweep and its list of d integers.
     """
     RootEntry(d, j)
     _require_int(m, "m")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    *_, is_zero = _vanishes_at_primitive_roots(d, m)
+    is_zero = False
+    if m >= d:
+        *_, is_zero = _vanishes_at_primitive_roots(d, m)
     return abs(prod(1 - cmath.exp(2j * pi * (j * k % d) / d)
                     for k in range(1, m + 1))), is_zero
 
@@ -251,7 +259,7 @@ def full_verification(order: int, roots_max_d: int = 12) -> list[CheckResult]:
             # the default start: a wrong quotient has no head to skip
             restored = q[:]
             for k in range(m, 0, -1):
-                _mul_binomial_inplace(restored, k, -1)
+                _mul_binomial_inplace(restored, k)
             if restored != product:
                 failure = f"quotient after step {m} differs from the remaining product"
                 break

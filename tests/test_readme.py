@@ -37,6 +37,25 @@ def test_readme_example_output(capsys, argv, expected):
     assert capsys.readouterr().out == expected
 
 
+def test_readme_library_example_gives_the_values_its_comments_show():
+    # each bare expression's comment starts with the value it evaluates to
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```",
+                      README.read_text("utf-8"), re.MULTILINE | re.DOTALL)[1]
+    lines = block.splitlines()
+    namespace: dict = {}
+    shown, evaluated = [], []
+    for node in ast.parse(block).body:
+        source = ast.get_source_segment(block, node)
+        if not isinstance(node, ast.Expr):
+            exec(source, namespace)
+            continue
+        comment = lines[node.end_lineno - 1].partition("#")[2]
+        shown.append((source, re.match(r"\s*([^\s,]*)", comment)[1]))
+        evaluated.append((source, repr(eval(source, namespace))))
+    assert len(shown) == 4
+    assert shown == evaluated
+
+
 def test_package_imports_only_the_standard_library():
     imported = set()
     for path in Path(pentagon.__file__).parent.glob("*.py"):

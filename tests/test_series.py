@@ -10,7 +10,7 @@ from pentagon.series import (
     TruncatedSeries,
     _div_binomial_inplace,
     _mul_binomial_inplace,
-    _times_dilated,
+    _times_sparse,
     add,
     div_binomial,
     format_series,
@@ -36,12 +36,22 @@ def series(draw, max_order=24, coeff_bound=999):
     return TruncatedSeries(tuple(coeffs))
 
 
-def literal_mul_binomial(coeffs, k, c):
-    """coeffs * (1 + c*x^k), truncated to len(coeffs), one entry at a time
+def literal_mul(a, b):
+    """a * b, truncated to the shorter list: the schoolbook double loop."""
+    n = min(len(a), len(b))
+    out = [0] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def literal_mul_binomial(coeffs, k):
+    """coeffs * (1 - x^k), truncated to len(coeffs), one entry at a time
     from the top, so each entry reads one below it that is not yet updated."""
     out = list(coeffs)
     for i in range(len(out) - 1, k - 1, -1):
-        out[i] += c * out[i - k]
+        out[i] -= out[i - k]
     return out
 
 
@@ -209,28 +219,26 @@ def test_binomial_wrappers_reject_arguments_that_are_not_ints(function, args, me
         function(*args)
 
 
-@given(kernel_cases(), st.one_of(st.sampled_from((-1, 1)),
-                                 st.integers(-10**40, 10**40)))
-def test_mul_binomial_kernel_matches_the_literal_loop(case, c):
+@given(kernel_cases())
+def test_mul_binomial_kernel_matches_the_literal_loop(case):
     coeffs, k = case
-    expected = literal_mul_binomial(coeffs, k, c)
-    _mul_binomial_inplace(coeffs, k, c)
+    expected = literal_mul_binomial(coeffs, k)
+    _mul_binomial_inplace(coeffs, k)
     assert coeffs == expected
 
 
-@given(kernel_cases(), st.one_of(st.sampled_from((-1, 1)),
-                                 st.integers(-10**40, 10**40)), st.data())
-def test_mul_binomial_kernel_from_a_later_start_finishes_the_product(case, c, data):
+@given(kernel_cases(), st.data())
+def test_mul_binomial_kernel_from_a_later_start_finishes_the_product(case, data):
     # zeros k below start - k..start - 1 leave those entries as they are,
     # and the entries below start already hold the product
     coeffs, k = case
     start = data.draw(st.integers(k, len(coeffs) + k))
     for i in range(max(0, start - 2 * k), min(start - k, len(coeffs))):
         coeffs[i] = 0
-    expected = literal_mul_binomial(coeffs, k, c)
+    expected = literal_mul_binomial(coeffs, k)
     assert expected[start - k:start] == coeffs[start - k:start]
     coeffs[:start] = expected[:start]
-    _mul_binomial_inplace(coeffs, k, c, start)
+    _mul_binomial_inplace(coeffs, k, start)
     assert coeffs == expected
 
 
@@ -253,7 +261,7 @@ def test_full_product_sweeps_start_each_odd_factor_at_2k_plus_1(monkeypatch):
     assert product_range(1, 300, 300).coeffs == reference
     expected, n = [], 300
     while n:  # the odd factors at 300, then at each nested half order
-        expected += [(k, -1, 2 * k + 1) for k in range(n, 0, -1) if k % 2]
+        expected += [(k, 2 * k + 1) for k in range(n, 0, -1) if k % 2]
         n //= 2
     assert calls == expected
 
@@ -262,7 +270,7 @@ def test_partial_range_sweep_starts_every_factor_at_2k_plus_1(monkeypatch):
     reference = ascending_product_range(5, 40, 60)
     calls = spy_on_mul_kernel(monkeypatch)
     assert product_range(5, 40, 60).coeffs == reference
-    assert calls == [(k, -1, 2 * k + 1) for k in range(40, 4, -1)]
+    assert calls == [(k, 2 * k + 1) for k in range(40, 4, -1)]
 
 
 @given(kernel_cases())
@@ -305,21 +313,44 @@ def test_div_binomial_kernel_on_both_sides_of_the_stride_switch(k, length, start
 
 
 @given(series(max_order=40, coeff_bound=10**30),
-       series(max_order=40, coeff_bound=10**30))
-def test_times_dilated_matches_dense_mul(a, b):
-    # b(x^2) built densely; any coefficient of b counts, not only +-1
-    dilated = [0] * (a.order + 1)
+       st.dictionaries(st.integers(0, 45),
+                       st.one_of(st.sampled_from((-1, 0, 1)),
+                                 st.integers(-10**40, 10**40))))
+def test_times_sparse_matches_literal_mul(a, terms):
+    # the terms built densely; any coefficient counts, not only +-1, and
+    # an exponent past the order adds nothing
+    dense = [0] * len(a.coeffs)
+    for e, c in terms.items():
+        if e <= a.order:
+            dense[e] = c
+    expected = literal_mul(a.coeffs, dense)
+    assert _times_sparse(a.coeffs, terms.items()) == expected
+    assert _times_sparse(list(a.coeffs), terms.items()) == expected
+
+
+@given(series(max_order=40, coeff_bound=10**30),
+       series(max_order=20, coeff_bound=10**30))
+def test_times_sparse_multiplies_in_a_series_at_x_squared(a, b):
+    # the (2e, c) terms product_range passes for the half-order product
+    dilated = [0] * len(a.coeffs)
     for e, c in enumerate(b.coeffs[:a.order // 2 + 1]):
         dilated[2 * e] = c
-    expected = mul(a, TruncatedSeries(tuple(dilated)))
-    assert _times_dilated(list(a.coeffs), list(b.coeffs)) == list(expected.coeffs)
+    terms = [(2 * e, c) for e, c in b.nonzero_terms()]
+    assert _times_sparse(a.coeffs, terms) == literal_mul(a.coeffs, dilated)
 
 
-@given(series(), st.integers(1, 12), st.integers(-3, 3))
-def test_mul_binomial_matches_dense_mul(a, k, c):
-    dense = monomial(k, a.order, c)
-    expected = mul(a, add(one(a.order), dense))
-    assert mul_binomial(a, k, c).coeffs == expected.coeffs
+@given(series(), st.integers(1, 30),
+       st.one_of(st.integers(-3, 3), st.integers(-10**40, 10**40)))
+def test_mul_binomial_matches_literal_mul(a, k, c):
+    binomial = [1] + [0] * a.order
+    if k <= a.order:
+        binomial[k] = c
+    assert list(mul_binomial(a, k, c).coeffs) == literal_mul(a.coeffs, binomial)
+
+
+@given(series(coeff_bound=10**40), series(coeff_bound=10**40))
+def test_mul_matches_literal_mul(a, b):
+    assert list(mul(a, b).coeffs) == literal_mul(a.coeffs, b.coeffs)
 
 
 def test_div_binomial_examples():

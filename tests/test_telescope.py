@@ -112,7 +112,7 @@ def horner_tail(t: TailFamily, order: int) -> tuple[int, ...]:
         return (0,) * (order + 1)
     s = [1] + [0] * (depth % t.step)
     for j in range(depth // t.step - 1, -1, -1):
-        _mul_binomial_inplace(s, t.step + j, -1)
+        _mul_binomial_inplace(s, t.step + j)
         s[:0] = [1] + [0] * (t.step - 1)
     if not t.includes_bare_head:
         s[0] -= 1

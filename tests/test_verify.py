@@ -211,6 +211,14 @@ def test_eval_zero_iff_enough_factors():
                 assert is_zero == (m >= d), (d, entry.j, m)
 
 
+def test_eval_below_the_root_order_needs_no_list_of_d_entries():
+    # the sweep's list of 2**61 integers used to raise MemoryError; with
+    # m < d no factor can vanish, and the magnitude is a product of m terms
+    magnitude, is_zero = eval_partial_product_at_root(2**61, 1, 1)
+    assert magnitude > 0.0
+    assert not is_zero
+
+
 def test_exact_zero_test_holds_exactly_from_m_equal_d():
     # P_m = 0 in Z[x]/(x^d - 1) exactly from m = d on, for every d <= 60
     for d in range(1, 61):
@@ -340,7 +348,7 @@ def test_full_verification_multiplies_each_sampled_quotient_back_in_full(monkeyp
     monkeypatch.setattr(pentagon.verify, "_mul_binomial_inplace", recorded)
     assert all(c.passed for c in full_verification(300, 6))
     # k = m..1 after each sampled step m, from the default start
-    assert calls == [(k, -1) for m in (1, 5, 50) for k in range(m, 0, -1)]
+    assert calls == [(k,) for m in (1, 5, 50) for k in range(m, 0, -1)]
     assert len(calls) == 1 + 5 + 50
 
 
