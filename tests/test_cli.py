@@ -299,6 +299,18 @@ def test_bounds_above_the_index_range_exit_2(capsys, argv, name):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command", ("expand", "verify"))
+def test_an_order_no_list_can_hold_exits_2(capsys, command):
+    # both used to end in a MemoryError traceback; CPython refuses this
+    # list size before it allocates anything
+    code = main([command, "--order", str(sys.maxsize)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"pentagon {command}: error: order: {sys.maxsize} "
+                            "is too large to hold\n")
+
+
 def test_bench_is_not_a_command(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["bench", "--upto", "500"])

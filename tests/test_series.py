@@ -1,14 +1,17 @@
 """Ring arithmetic: frozen examples plus sampled algebraic laws."""
 
 import dataclasses
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 import pentagon.series
+from pentagon.pentagonal import pentagonal_terms_upto
 from pentagon.series import (
     TruncatedSeries,
     _div_binomial_inplace,
+    _div_sparse_inplace,
     _mul_binomial_inplace,
     _times_sparse,
     add,
@@ -61,6 +64,21 @@ def literal_div_binomial(coeffs, k):
     out = list(coeffs)
     for i in range(k, len(out)):
         out[i] += out[i - k]
+    return out
+
+
+def literal_div_sparse(coeffs, terms, step):
+    """coeffs / (1 + the sum of c*x^(step*e) over the (e, c) in terms),
+    truncated to len(coeffs): the divisor written out densely, then
+    q_i = a_i - (the sum of d_j * q_(i-j) for j = 1..i), one entry at a
+    time from the bottom."""
+    divisor = [1] + [0] * len(coeffs)
+    for e, c in terms:
+        if step * e < len(coeffs):
+            divisor[step * e] += c
+    out = []
+    for i, a in enumerate(coeffs):
+        out.append(a - sum(divisor[j] * out[i - j] for j in range(1, i + 1)))
     return out
 
 
@@ -255,13 +273,13 @@ def spy_on_mul_kernel(monkeypatch):
     return calls
 
 
-def test_full_product_sweeps_start_each_odd_factor_at_2k_plus_1(monkeypatch):
+def test_full_product_sweeps_start_each_factor_coprime_to_6_at_2k_plus_1(monkeypatch):
     reference = ascending_product_range(1, 300, 300)
     calls = spy_on_mul_kernel(monkeypatch)
     assert product_range(1, 300, 300).coeffs == reference
     expected, n = [], 300
-    while n:  # the odd factors at 300, then at each nested half order
-        expected += [(k, 2 * k + 1) for k in range(n, 0, -1) if k % 2]
+    while n:  # k = 1 or 5 (mod 6) at 300, then at each nested half order
+        expected += [(k, 2 * k + 1) for k in range(n, 0, -1) if k % 6 in (1, 5)]
         n //= 2
     assert calls == expected
 
@@ -337,6 +355,19 @@ def test_times_sparse_multiplies_in_a_series_at_x_squared(a, b):
         dilated[2 * e] = c
     terms = [(2 * e, c) for e, c in b.nonzero_terms()]
     assert _times_sparse(a.coeffs, terms) == literal_mul(a.coeffs, dilated)
+
+
+@given(st.lists(st.integers(-10**30, 10**30), max_size=40),
+       st.lists(st.tuples(st.integers(1, 50),
+                          st.one_of(st.sampled_from((-1, 0, 1)),
+                                    st.integers(-10**30, 10**30)))),
+       st.integers(1, 7))
+def test_div_sparse_kernel_matches_the_literal_long_division(coeffs, terms, step):
+    # any int coefficients, repeated exponents, lists shorter than the
+    # step and terms past the end of the list
+    expected = literal_div_sparse(coeffs, terms, step)
+    _div_sparse_inplace(coeffs, terms, step)
+    assert coeffs == expected
 
 
 @given(series(), st.integers(1, 30),
@@ -417,12 +448,82 @@ def test_product_range_matches_the_ascending_chain(first, last, order):
 
 
 def test_full_product_path_matches_the_ascending_chain():
-    # last >= order takes the odd-factors-times-half-order path, last =
-    # order - 1 the single sweep
-    for order in range(201):
-        for last in (order - 1, order, order + 3):
-            expected = ascending_product_range(1, last, order)
+    # last >= order takes the path sieved by 6, last = order - 1 the
+    # single sweep
+    for order in (*range(301), 2000, 2500):
+        expected = ascending_product_range(1, order, order)
+        for last in (order, order + 3):
             assert product_range(1, last, order).coeffs == expected, (order, last)
+        expected = ascending_product_range(1, order - 1, order)
+        assert product_range(1, order - 1, order).coeffs == expected, order
+
+
+def sieved_product_updates(n):
+    """Coefficient updates of product_range(1, n, n), as its docstring
+    counts them: n - 2k for each k = 1 or 5 (mod 6) below n/2, then, for
+    each nonzero term e of the half-order product H (at the generalized
+    pentagonal numbers up to n//2), n + 1 - 2e and n + 1 - 3e in the two
+    sparse passes and n + 1 - 6e in the division if 1 <= 6e <= n, plus
+    H's own count."""
+    sweep = sum(max(0, n - 2 * k) for k in range(1, n + 1) if k % 6 in (1, 5))
+    if n < 2:
+        return sweep
+    support = [e for e, _ in pentagonal_terms_upto(n // 2)]
+    passes = sum(max(0, n + 1 - 2 * e) + max(0, n + 1 - 3 * e) for e in support)
+    division = sum(n + 1 - 6 * e for e in support if 1 <= e and 6 * e <= n)
+    return sweep + passes + division + sieved_product_updates(n // 2)
+
+
+def odd_product_updates(n):
+    """The same count for the odd factors times H at x^2 alone: n - 2k
+    for each odd k, n + 1 - 2e for each term of H, plus H's count."""
+    sweep = sum(max(0, n - 2 * k) for k in range(1, n + 1, 2))
+    if n < 2:
+        return sweep
+    support = [e for e, _ in pentagonal_terms_upto(n // 2)]
+    return (sweep + sum(max(0, n + 1 - 2 * e) for e in support)
+            + odd_product_updates(n // 2))
+
+
+def test_full_product_updates_meet_the_sieved_closed_form(monkeypatch):
+    # counting rule: a multiply-kernel call updates len - start entries,
+    # a sparse pass len - e for each nonzero term, and a division term
+    # len - step*e, each never below 0; one coefficient update each
+    updates = []
+    mul_kernel = pentagon.series._mul_binomial_inplace
+    times_kernel = pentagon.series._times_sparse
+    div_kernel = pentagon.series._div_sparse_inplace
+
+    def counted_mul(coeffs, k, start=None):
+        updates.append(max(0, len(coeffs) - (k if start is None else start)))
+        mul_kernel(coeffs, k, start)
+
+    def counted_times(a, terms):
+        terms = list(terms)
+        updates.append(sum(max(0, len(a) - e) for e, c in terms if c))
+        return times_kernel(a, terms)
+
+    def counted_div(coeffs, terms, step):
+        terms = list(terms)
+        updates.append(sum(max(0, len(coeffs) - step * e) for e, c in terms if c))
+        div_kernel(coeffs, terms, step)
+
+    monkeypatch.setattr(pentagon.series, "_mul_binomial_inplace", counted_mul)
+    monkeypatch.setattr(pentagon.series, "_times_sparse", counted_times)
+    monkeypatch.setattr(pentagon.series, "_div_sparse_inplace", counted_div)
+    partial_product(2000, 2000)
+    assert sum(updates) == sieved_product_updates(2000)
+    assert sieved_product_updates(2000) < odd_product_updates(2000)
+
+
+def test_an_order_no_list_can_hold_is_named_not_a_memory_error():
+    # used to raise MemoryError; CPython refuses this size before allocating
+    message = f"^order: {sys.maxsize} is too large to hold$"
+    for function, args in ((product_range, (1, sys.maxsize, sys.maxsize)),
+                           (product_range, (5, 10, sys.maxsize)),
+                           (partial_product, (sys.maxsize, sys.maxsize))):
+        with pytest.raises(ValueError, match=message):
+            function(*args)
 
 
 def test_product_range_splits_partial_product():
