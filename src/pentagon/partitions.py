@@ -2,22 +2,22 @@
 
 Inverting the sparse series gives the generating function of the
 partition numbers p(n), and the sparsity turns inversion into a
-recurrence with O(sqrt(n)) terms per value. One sparse long division,
-reading its offsets from the pentagonal support, yields the
-coefficients that both the reciprocal series and the partition table
-wrap. Two independent oracles guard it: an unbounded-knapsack
-accumulation that never touches pentagonal numbers, and literal
-enumeration of partitions at small n. All arithmetic is exact.
+recurrence with O(sqrt(n)) terms per value. The series kernel's sparse
+long division, given the closed form's terms, yields the coefficients
+that both the reciprocal series and the partition table wrap. Two
+independent oracles guard it: an unbounded-knapsack accumulation that
+never touches pentagonal numbers, and literal enumeration of partitions
+at small n. All arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .pentagonal import pentagonal_terms_upto
 from .series import (TruncatedSeries, _check_index, _div_binomial_inplace,
-                     _require_int, _require_int_tuple, make_series)
+                     _div_sparse_inplace, _require_int, _require_int_tuple,
+                     _zeros, make_series)
 
 ENUMERATION_LIMIT = 45
 
@@ -60,23 +60,14 @@ def recurrence_support(n_max: int) -> list[tuple[int, int]]:
 def _reciprocal_coeffs(n: int) -> list[int]:
     """q_0..q_n of 1 / closed form, by one sparse long division.
 
-    q_m is the signed sum of q_(m-e) over the recurrence offsets e <= m.
-    While q holds q_0..q_(m-1), q[-e] is q_(m-e), so each step gathers two
-    lists of negative offsets, one per sign, through one ``itemgetter``
-    each, built at m = 1 (the first offset) and rebuilt only when m
-    reaches a new offset. Both lists start with index 0 twice: an
-    itemgetter of one index returns a bare value, not a tuple, and the
-    2 * q_0 read on each side cancels in the difference.
+    Divides the unit list by 1 plus the closed form's terms above x^0,
+    at step 1, through the series kernel ``_div_sparse_inplace``: q_m is
+    minus the sum of c * q_(m-e) over the terms (e, c) with e <= m.
     """
-    signs = dict(recurrence_support(n))
-    added, subtracted = [0, 0], [0, 0]
-    q = [1]
-    for m in range(1, n + 1):
-        if m in signs:
-            (added if signs[m] > 0 else subtracted).append(-m)
-            take_added = itemgetter(*added)
-            take_subtracted = itemgetter(*subtracted)
-        q.append(sum(take_added(q)) - sum(take_subtracted(q)))
+    terms = pentagonal_terms_upto(n)[1:]
+    q = _zeros(n)
+    q[0] = 1
+    _div_sparse_inplace(q, terms, 1)
     return q
 
 

@@ -216,18 +216,17 @@ def _div_sparse_inplace(coeffs: list[int], terms: Iterable[tuple[int, int]],
                         step: int) -> None:
     """coeffs /= 1 + (the sum of c*x^(step*e) over terms), modulo x^len(coeffs).
 
-    Every e must be >= 1: the divisor then starts with 1, and the
-    quotient is exact. The divisor is a series in x^step, so each
-    residue class mod step is divided on its own, by long division: q_m
-    is a_m less the sum of c * q_(m-e) over the terms with e <= m.
-    Terms with step * e >= len(coeffs) reach no coefficient and are
-    never read. As in ``partitions._reciprocal_coeffs``, while q holds
-    q_0..q_(m-1), q[-e] is q_(m-e), so each step gathers the offsets of
-    the terms with c = -1 and of those with c = +1 through one
-    ``itemgetter`` each, rebuilt only when m reaches a new offset. Any
-    other c is multiplied in exactly, term by term. Both gatherers start
-    with index 0 twice: an itemgetter of one index returns a bare value,
-    not a tuple, and the 2 * q_0 read on each side cancels.
+    The one sparse long division: ``product_range`` divides by H(x^6)
+    at step 6, ``partitions._reciprocal_coeffs`` 1 by the closed form at
+    step 1. Every e must be >= 1, so the divisor starts with 1 and the
+    quotient is exact. Each residue class mod step is divided on its
+    own: q_m is a_m less the sum of c * q_(m-e) over the e <= m; terms
+    with step * e >= len(coeffs) are never read. While q holds
+    q_0..q_(m-1), q[-e] is q_(m-e), so one ``itemgetter`` per sign
+    gathers the terms with c = -1 and with c = +1, rebuilt only when m
+    reaches a new offset; any other c is multiplied in exactly. Both
+    gatherers start with index 0 twice: an itemgetter of one index
+    returns a bare value, not a tuple, and the 2 * q_0 reads cancel.
     """
     n = len(coeffs)
     arrivals: dict[int, list[int]] = {}
@@ -312,9 +311,11 @@ def product_range(first: int, last: int, order: int) -> TruncatedSeries:
     _require_int(order, "order")
     if first < 1:
         raise ValueError(f"factor range must start at >= 1, got {first}")
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     top = min(last, order)
     full = first == 1 and last >= order
-    cur = _zeros(max(order, 0))
+    cur = _zeros(order)
     cur[0] = 1
     # the full product applies only its factors coprime to 6 in this sweep
     for k in range(top, first - 1, -1):
@@ -334,12 +335,10 @@ def partial_product(m: int, order: int) -> TruncatedSeries:
 
     The brute-force expansion of the full product, and the oracle every
     other representation in the package is checked against. With
-    m >= order it is ``product_range``'s full-product path, sieved by 6:
-    the factors coprime to 6 times the half-order product H at x^2 and
-    at x^3, divided by H at x^6, about order^2/9 updates plus a multiple
-    of order^1.5 for the sparse passes. The division is by the product
-    built here, not by the closed form, so the oracle does not rest on
-    Euler's theorem. With m < order it is the single largest-first
+    m >= order it is ``product_range``'s full product, sieved by 6 and
+    divided by a product it built, not by the closed form, so the oracle
+    does not rest on Euler's theorem: about order^2/9 updates plus a
+    multiple of order^1.5. With m < order it is the single largest-first
     sweep, about order^2/4 updates at most.
     """
     _require_int(m, "m")

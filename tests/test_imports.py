@@ -47,3 +47,21 @@ def test_every_all_entry_resolves(path):
     missing = [name for name in getattr(module, "__all__", ())
                if not hasattr(module, name)]
     assert missing == []
+
+
+def test_only_series_imports_the_coefficient_kernel_tools():
+    # the coefficient kernels are built from these; another module that
+    # reaches for them is growing a second copy of a kernel loop
+    tools = {"itemgetter", "accumulate"}
+    users = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            if names & tools:
+                users.add(path.name)
+    assert users == {"series.py"}

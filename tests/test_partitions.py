@@ -125,6 +125,25 @@ def test_dp_divides_once_per_part_largest_first_from_2k(monkeypatch, n_max):
     assert calls == [(k, 2 * k) for k in range(n_max, 0, -1)]
 
 
+@pytest.mark.parametrize("function", (partitions_recurrence, reciprocal_series),
+                         ids=lambda function: function.__name__)
+def test_recurrence_is_one_sparse_division_by_the_closed_form(monkeypatch, function):
+    # both entry points divide 1 by the closed form through the series
+    # kernel, once, at step 1, with the terms above x^0 as computed
+    calls = []
+    original = pentagon.partitions._div_sparse_inplace
+
+    def recorded(coeffs, terms, step):
+        terms = list(terms)
+        calls.append((terms, step))
+        original(coeffs, terms, step)
+
+    monkeypatch.setattr(pentagon.partitions, "_div_sparse_inplace", recorded)
+    values = tuple(function(300))
+    assert calls == [(pentagonal_terms_upto(300)[1:], 1)]
+    assert values == partitions_oracle_dp(300).values
+
+
 @pytest.mark.parametrize("function, args, message", (
     (partitions_oracle_dp, (True,), "n_max must be an int, got True"),
     (partitions_oracle_dp, (2.0,), "n_max must be an int, got 2.0"),

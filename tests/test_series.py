@@ -132,7 +132,9 @@ def test_order_is_the_coefficient_count_less_one():
 
 
 @pytest.mark.parametrize("function, args", ((make_series, ([], -5)),
-                                            (monomial, (0, -5))))
+                                            (monomial, (0, -5)),
+                                            (partial_product, (3, -5)),
+                                            (product_range, (1, 3, -5))))
 def test_constructors_name_the_negative_order_they_were_given(function, args):
     with pytest.raises(ValueError, match="^order must be >= 0, got -5$"):
         function(*args)
