@@ -60,14 +60,14 @@ def recurrence_support(n_max: int) -> list[tuple[int, int]]:
 def _reciprocal_coeffs(n: int) -> list[int]:
     """q_0..q_n of 1 / closed form, by one sparse long division.
 
-    Divides the unit list by 1 plus the closed form's terms above x^0,
-    at step 1, through the series kernel ``_div_sparse_inplace``: q_m is
-    minus the sum of c * q_(m-e) over the terms (e, c) with e <= m.
+    Divides the unit list by 1 plus the closed form's terms above x^0
+    through the series kernel ``_div_sparse_inplace``: q_m is minus the
+    sum of c * q_(m-e) over the terms (e, c) with e <= m.
     """
     terms = pentagonal_terms_upto(n)[1:]
     q = _zeros(n)
     q[0] = 1
-    _div_sparse_inplace(q, terms, 1)
+    _div_sparse_inplace(q, terms)
     return q
 
 

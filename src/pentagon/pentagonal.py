@@ -5,7 +5,7 @@ coefficients sit at 0 and at the generalized pentagonal numbers
 n(3n -+ 1)/2, with coefficient (-1)^n at both members of the nth pair.
 This module holds the exponent formulas, the sign rule, and the direct
 construction of that series, built with no multiplication at all so it
-can cross-check the brute-force product expansion.
+can cross-check the product expansion.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import add as _int_add, itemgetter, sub as _int_sub
 from typing import Any, Iterable
 
@@ -145,22 +145,30 @@ def _mul_binomial_inplace(coeffs: list[int], k: int, start: int | None = None) -
     coeffs[start:] = map(_int_sub, coeffs[start:], coeffs[start - k:])
 
 
+def _add_shifted(out: list[int], e: int, c: int, a: list[int] | tuple[int, ...]) -> None:
+    """out += c * x^e * a modulo x^len(out), for c != 0, in one shifted C-level pass.
+
+    An add or a subtract for +-1, any other c multiplied in exactly. ``a``
+    must hold at least len(out) - e entries, so the slice keeps its length.
+    """
+    if c == 1:
+        out[e:] = map(_int_add, out[e:], a)
+    elif c == -1:
+        out[e:] = map(_int_sub, out[e:], a)
+    else:
+        out[e:] = [t + c * h for t, h in zip(out[e:], a)]
+
+
 def _times_sparse(a: list[int] | tuple[int, ...],
                   terms: Iterable[tuple[int, int]]) -> list[int]:
     """a * (the sum of c*x^e over the (e, c) in terms) modulo x^len(a), as a new list.
 
-    Each nonzero c adds c * a from x^e up in one shifted C-level pass, so
-    the cost is one pass per nonzero term: an add or a subtract for +-1,
-    and any other coefficient multiplied in exactly.
+    One ``_add_shifted`` pass per nonzero term.
     """
     out = [0] * len(a)
     for e, c in terms:
-        if c == 1:
-            out[e:] = map(_int_add, out[e:], a)
-        elif c == -1:
-            out[e:] = map(_int_sub, out[e:], a)
-        elif c:
-            out[e:] = [t + c * h for t, h in zip(out[e:], a)]
+        if c:
+            _add_shifted(out, e, c, a)
     return out
 
 
@@ -212,46 +220,35 @@ def div_binomial(a: TruncatedSeries, k: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(out))
 
 
-def _div_sparse_inplace(coeffs: list[int], terms: Iterable[tuple[int, int]],
-                        step: int) -> None:
-    """coeffs /= 1 + (the sum of c*x^(step*e) over terms), modulo x^len(coeffs).
+def _div_sparse_inplace(coeffs: list[int], terms: Iterable[tuple[int, int]]) -> None:
+    """coeffs /= 1 + (the sum of c*x^e over terms), modulo x^len(coeffs).
 
-    The one sparse long division: ``product_range`` divides by H(x^6)
-    at step 6, ``partitions._reciprocal_coeffs`` 1 by the closed form at
-    step 1. Every e must be >= 1, so the divisor starts with 1 and the
-    quotient is exact. Each residue class mod step is divided on its
-    own: q_m is a_m less the sum of c * q_(m-e) over the e <= m; terms
-    with step * e >= len(coeffs) are never read. While q holds
-    q_0..q_(m-1), q[-e] is q_(m-e), so one ``itemgetter`` per sign
-    gathers the terms with c = -1 and with c = +1, rebuilt only when m
-    reaches a new offset; any other c is multiplied in exactly. Both
-    gatherers start with index 0 twice: an itemgetter of one index
-    returns a bare value, not a tuple, and the 2 * q_0 reads cancel.
+    The one sparse long division, behind ``partitions._reciprocal_coeffs``.
+    Every e must be >= 1, so the divisor starts with 1 and the quotient
+    is exact, and every c must be 1 or -1, else ValueError; terms with
+    e >= len(coeffs) are never read. q_m is a_m less the sum of c * q_(m-e)
+    over the e <= m. While q holds q_0..q_(m-1), q[-e] is q_(m-e), so one
+    ``itemgetter`` per sign gathers the terms with c = -1 and with c = +1,
+    rebuilt whenever m reaches a new offset. Both gatherers start with
+    index 0 twice: an itemgetter of one index returns a bare value, not a
+    tuple, and the 2 * q_0 reads cancel.
     """
-    n = len(coeffs)
     arrivals: dict[int, list[int]] = {}
     for e, c in terms:
-        if c and step * e < n:
-            arrivals.setdefault(e, []).append(c)
-    for r in range(min(step, n)):
-        q = [coeffs[r]]
-        added, subtracted, others = [0, 0], [0, 0], []
-        take_added = take_subtracted = itemgetter(0, 0)
-        for m, a in enumerate(coeffs[r + step::step], 1):
-            if m in arrivals:
-                for c in arrivals[m]:
-                    if c == -1:
-                        added.append(-m)
-                    elif c == 1:
-                        subtracted.append(-m)
-                    else:
-                        others.append((-m, c))
-                take_added = itemgetter(*added)
-                take_subtracted = itemgetter(*subtracted)
-            if others:
-                a -= sum([c * q[i] for i, c in others])
-            q.append(a + sum(take_added(q)) - sum(take_subtracted(q)))
-        coeffs[r::step] = q
+        if c != 1 and c != -1:
+            raise ValueError(f"term x^{e}: coefficient must be 1 or -1, got {c!r}")
+        arrivals.setdefault(e, []).append(c)
+    q = coeffs[:1]
+    added, subtracted = [0, 0], [0, 0]
+    take_added = take_subtracted = itemgetter(0, 0)
+    for m, a in enumerate(coeffs[1:], 1):
+        if m in arrivals:
+            for c in arrivals[m]:
+                (added if c == -1 else subtracted).append(-m)
+            take_added = itemgetter(*added)
+            take_subtracted = itemgetter(*subtracted)
+        q.append(a + sum(take_added(q)) - sum(take_subtracted(q)))
+    coeffs[:] = q
 
 
 def _zeros(order: int) -> list[int]:
@@ -260,6 +257,18 @@ def _zeros(order: int) -> list[int]:
         return [0] * (order + 1)
     except (MemoryError, OverflowError):
         raise ValueError(f"order: {order} is too large to hold") from None
+
+
+def _divisor_sums(n: int) -> list[int]:
+    """sigma(0..n): entry m is the sum of the divisors of m, and entry 0 is 0.
+
+    A sieve with one C-level pass per divisor d, adding d to every
+    multiple of d.
+    """
+    sums = [0] * (n + 1)
+    for d in range(1, n + 1):
+        sums[d::d] = map(_int_add, sums[d::d], repeat(d))
+    return sums
 
 
 def product_range(first: int, last: int, order: int) -> TruncatedSeries:
@@ -275,36 +284,15 @@ def product_range(first: int, last: int, order: int) -> TruncatedSeries:
     order^2/4 in all, where applying the factors smallest first costs
     about order^2/2. An order too large for a list raises ValueError.
 
-    The full product P_N (first == 1 and last >= order) is sieved by 6:
-
-        P_N(x) = B(x) * P_N(x^2) * P_N(x^3) / P_N(x^6)  modulo x^(N+1),
-
-    where B is the product over the k <= N coprime to 6: the factors
-    with 2 | k are P(x^2), those with 3 | k are P(x^3), and those with
-    6 | k sit in both, so P(x^6) divides them out once. Every factor
-    past x^N is 1, so P_N(x^j) needs only P_(N//j), and P_(N//3) and
-    P_(N//6) are prefixes of H = P_(N//2): the factors k > N//j move
-    only coefficients past x^(N//j). H comes from this function at order
-    N//2, so it is sieved in turn. The work, with H's nonzero terms
-    (e, c) (about 2*sqrt(N/3) of them, at the pentagonal numbers) and
-    n = N + 1 entries:
-
-    - B's sweep, largest first as above: max(0, N - 2k) updates for each
-      k = 1 or 5 (mod 6), about N^2/12 in all;
-    - P_N(x^2) and P_N(x^3) through ``_times_sparse`` with the terms
-      (2e, c) and (3e, c): max(0, n - 2e) and max(0, n - 3e) each;
-    - the division by P_N(x^6), ``_div_sparse_inplace`` with H's terms
-      e >= 1 at step 6: n - 6e for each e with 6e <= N;
-    - H's own work at N//2.
-
-    The sweeps at all levels come to about N^2/9 updates (N^2/6 for the
-    odd factors) and the passes to a multiple of N^1.5: 695,827 updates
-    in all at 2000 and 5,313,531 at 6000, against 773,319 and 6,553,678
-    for the odd factors times H at x^2. The division is exact because H
-    starts with 1, and it divides by the product this function built:
-    its terms are computed, never assumed to be +-1 or pentagonal, so
-    the oracle stays independent of Euler's theorem. Every other range
-    keeps the single sweep.
+    The full product P (first == 1 and last >= order) comes from its
+    logarithmic derivative instead, as in Euler's E175: x*P'/P is
+    -(the sum of k*x^k/(1 - x^k)) = -(the sum of sigma(n)*x^n), so
+    n*p_n = -(the sum of sigma(n - j)*p_j over j < n). ``acc[n]`` keeps
+    that sum: each nonzero p_n adds p_n * sigma to acc from x^(n+1) up in
+    one ``_add_shifted`` pass, and a sum that n does not divide raises
+    ArithmeticError. No pentagonal number is assumed, so the oracle does
+    not rest on Euler's theorem; a wrong or dense result would only cost
+    more passes.
     """
     _require_int(first, "first")
     _require_int(last, "last")
@@ -313,33 +301,33 @@ def product_range(first: int, last: int, order: int) -> TruncatedSeries:
         raise ValueError(f"factor range must start at >= 1, got {first}")
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    top = min(last, order)
-    full = first == 1 and last >= order
     cur = _zeros(order)
     cur[0] = 1
-    # the full product applies only its factors coprime to 6 in this sweep
-    for k in range(top, first - 1, -1):
-        if not full or k % 6 in (1, 5):
+    if first == 1 and last >= order:
+        acc = _divisor_sums(order)
+        sigma = acc[1:]
+        for n in range(1, order + 1):
+            c, r = divmod(-acc[n], n)
+            if r:
+                raise ArithmeticError(f"x^{n}: {n} does not divide {-acc[n]}")
+            if c:
+                _add_shifted(acc, n + 1, c, sigma)
+                cur[n] = c
+    else:
+        for k in range(min(last, order), first - 1, -1):
             cur[k] -= 1
             _mul_binomial_inplace(cur, k, 2 * k + 1)
-    if full and order > 1:
-        half = product_range(1, order // 2, order // 2).nonzero_terms()
-        cur = _times_sparse(cur, [(2 * e, c) for e, c in half])
-        cur = _times_sparse(cur, [(3 * e, c) for e, c in half])
-        _div_sparse_inplace(cur, half[1:], 6)
     return TruncatedSeries(tuple(cur))
 
 
 def partial_product(m: int, order: int) -> TruncatedSeries:
     """prod of (1 - x^k) for k = 1..m, modulo x^(order+1).
 
-    The brute-force expansion of the full product, and the oracle every
-    other representation in the package is checked against. With
-    m >= order it is ``product_range``'s full product, sieved by 6 and
-    divided by a product it built, not by the closed form, so the oracle
-    does not rest on Euler's theorem: about order^2/9 updates plus a
-    multiple of order^1.5. With m < order it is the single largest-first
-    sweep, about order^2/4 updates at most.
+    The oracle every other representation in the package is checked
+    against. With m >= order it is ``product_range``'s full product, read
+    off the product's logarithmic derivative, which the tests check
+    against the ascending chain of binomial multiplies. With m < order it
+    is the single largest-first sweep, about order^2/4 updates at most.
     """
     _require_int(m, "m")
     if m < 1:

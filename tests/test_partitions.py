@@ -129,18 +129,18 @@ def test_dp_divides_once_per_part_largest_first_from_2k(monkeypatch, n_max):
                          ids=lambda function: function.__name__)
 def test_recurrence_is_one_sparse_division_by_the_closed_form(monkeypatch, function):
     # both entry points divide 1 by the closed form through the series
-    # kernel, once, at step 1, with the terms above x^0 as computed
+    # kernel, once, with the terms above x^0 as computed
     calls = []
     original = pentagon.partitions._div_sparse_inplace
 
-    def recorded(coeffs, terms, step):
+    def recorded(coeffs, terms):
         terms = list(terms)
-        calls.append((terms, step))
-        original(coeffs, terms, step)
+        calls.append(terms)
+        original(coeffs, terms)
 
     monkeypatch.setattr(pentagon.partitions, "_div_sparse_inplace", recorded)
     values = tuple(function(300))
-    assert calls == [(pentagonal_terms_upto(300)[1:], 1)]
+    assert calls == [pentagonal_terms_upto(300)[1:]]
     assert values == partitions_oracle_dp(300).values
 
 

@@ -4,7 +4,7 @@ import dataclasses
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import pentagon.series
 from pentagon.pentagonal import pentagonal_terms_upto
@@ -12,6 +12,7 @@ from pentagon.series import (
     TruncatedSeries,
     _div_binomial_inplace,
     _div_sparse_inplace,
+    _divisor_sums,
     _mul_binomial_inplace,
     _times_sparse,
     add,
@@ -67,15 +68,15 @@ def literal_div_binomial(coeffs, k):
     return out
 
 
-def literal_div_sparse(coeffs, terms, step):
-    """coeffs / (1 + the sum of c*x^(step*e) over the (e, c) in terms),
-    truncated to len(coeffs): the divisor written out densely, then
+def literal_div_sparse(coeffs, terms):
+    """coeffs / (1 + the sum of c*x^e over the (e, c) in terms), truncated
+    to len(coeffs): the divisor written out densely, then
     q_i = a_i - (the sum of d_j * q_(i-j) for j = 1..i), one entry at a
     time from the bottom."""
     divisor = [1] + [0] * len(coeffs)
     for e, c in terms:
-        if step * e < len(coeffs):
-            divisor[step * e] += c
+        if e < len(coeffs):
+            divisor[e] += c
     out = []
     for i, a in enumerate(coeffs):
         out.append(a - sum(divisor[j] * out[i - j] for j in range(1, i + 1)))
@@ -275,15 +276,17 @@ def spy_on_mul_kernel(monkeypatch):
     return calls
 
 
-def test_full_product_sweeps_start_each_factor_coprime_to_6_at_2k_plus_1(monkeypatch):
+def test_full_product_calls_no_multiply_or_division_kernel(monkeypatch):
+    # the full product is read off its logarithmic derivative; only a
+    # partial range sweeps
     reference = ascending_product_range(1, 300, 300)
-    calls = spy_on_mul_kernel(monkeypatch)
+    calls = []
+    for name in ("_mul_binomial_inplace", "_times_sparse", "_div_sparse_inplace"):
+        monkeypatch.setattr(pentagon.series, name,
+                            lambda *args, name=name: calls.append(name))
     assert product_range(1, 300, 300).coeffs == reference
-    expected, n = [], 300
-    while n:  # k = 1 or 5 (mod 6) at 300, then at each nested half order
-        expected += [(k, 2 * k + 1) for k in range(n, 0, -1) if k % 6 in (1, 5)]
-        n //= 2
-    assert calls == expected
+    partial_product(2000, 2000)
+    assert calls == []
 
 
 def test_partial_range_sweep_starts_every_factor_at_2k_plus_1(monkeypatch):
@@ -351,7 +354,7 @@ def test_times_sparse_matches_literal_mul(a, terms):
 @given(series(max_order=40, coeff_bound=10**30),
        series(max_order=20, coeff_bound=10**30))
 def test_times_sparse_multiplies_in_a_series_at_x_squared(a, b):
-    # the (2e, c) terms product_range passes for the half-order product
+    # a series at x^2: its (2e, c) terms, every other exponent skipped
     dilated = [0] * len(a.coeffs)
     for e, c in enumerate(b.coeffs[:a.order // 2 + 1]):
         dilated[2 * e] = c
@@ -359,17 +362,29 @@ def test_times_sparse_multiplies_in_a_series_at_x_squared(a, b):
     assert _times_sparse(a.coeffs, terms) == literal_mul(a.coeffs, dilated)
 
 
+# two offsets of the same sign arriving at different m, so a kernel that
+# builds its gatherers only at the first offset fails on every run
+@example([1] + [0] * 9, [(1, -1), (2, -1)])
+@example([1] + [0] * 9, [(3, 1), (1, 1)])
+@example([5, -2, 7, 0, 3, 1], [(2, 1), (4, 1), (1, -1), (3, -1)])
 @given(st.lists(st.integers(-10**30, 10**30), max_size=40),
-       st.lists(st.tuples(st.integers(1, 50),
-                          st.one_of(st.sampled_from((-1, 0, 1)),
-                                    st.integers(-10**30, 10**30)))),
-       st.integers(1, 7))
-def test_div_sparse_kernel_matches_the_literal_long_division(coeffs, terms, step):
-    # any int coefficients, repeated exponents, lists shorter than the
-    # step and terms past the end of the list
-    expected = literal_div_sparse(coeffs, terms, step)
-    _div_sparse_inplace(coeffs, terms, step)
+       st.lists(st.tuples(st.integers(1, 50), st.sampled_from((-1, 1)))))
+def test_div_sparse_kernel_matches_the_literal_long_division(coeffs, terms):
+    # repeated exponents, any order of the terms, empty lists and terms
+    # past the end of the list
+    expected = literal_div_sparse(coeffs, terms)
+    _div_sparse_inplace(coeffs, terms)
     assert coeffs == expected
+
+
+@pytest.mark.parametrize("c", (0, 2, -3, 10**30))
+def test_div_sparse_kernel_rejects_a_coefficient_other_than_1_or_minus_1(c):
+    # its one caller divides by the closed form, whose terms are +-1; the
+    # check runs before any coefficient is touched, past the list's end too
+    coeffs = [1, 2, 3]
+    with pytest.raises(ValueError, match=f"^term x\\^7: coefficient must be 1 or -1, got {c}$"):
+        _div_sparse_inplace(coeffs, [(1, -1), (7, c)])
+    assert coeffs == [1, 2, 3]
 
 
 @given(series(), st.integers(1, 30),
@@ -450,8 +465,8 @@ def test_product_range_matches_the_ascending_chain(first, last, order):
 
 
 def test_full_product_path_matches_the_ascending_chain():
-    # last >= order takes the path sieved by 6, last = order - 1 the
-    # single sweep
+    # last >= order reads the product off its logarithmic derivative,
+    # last = order - 1 takes the single sweep
     for order in (*range(301), 2000, 2500):
         expected = ascending_product_range(1, order, order)
         for last in (order, order + 3):
@@ -460,62 +475,45 @@ def test_full_product_path_matches_the_ascending_chain():
         assert product_range(1, order - 1, order).coeffs == expected, order
 
 
-def sieved_product_updates(n):
-    """Coefficient updates of product_range(1, n, n), as its docstring
-    counts them: n - 2k for each k = 1 or 5 (mod 6) below n/2, then, for
-    each nonzero term e of the half-order product H (at the generalized
-    pentagonal numbers up to n//2), n + 1 - 2e and n + 1 - 3e in the two
-    sparse passes and n + 1 - 6e in the division if 1 <= 6e <= n, plus
-    H's own count."""
-    sweep = sum(max(0, n - 2 * k) for k in range(1, n + 1) if k % 6 in (1, 5))
-    if n < 2:
-        return sweep
-    support = [e for e, _ in pentagonal_terms_upto(n // 2)]
-    passes = sum(max(0, n + 1 - 2 * e) + max(0, n + 1 - 3 * e) for e in support)
-    division = sum(n + 1 - 6 * e for e in support if 1 <= e and 6 * e <= n)
-    return sweep + passes + division + sieved_product_updates(n // 2)
+def test_full_product_pushes_once_per_nonzero_coefficient(monkeypatch):
+    # each nonzero p_n adds p_n * sigma into the running sums from x^(n+1):
+    # one pass per generalized pentagonal number 1..2000 and no other
+    pushes = []
+    original = pentagon.series._add_shifted
 
+    def recorded(out, e, c, a):
+        pushes.append((e, c))
+        original(out, e, c, a)
 
-def odd_product_updates(n):
-    """The same count for the odd factors times H at x^2 alone: n - 2k
-    for each odd k, n + 1 - 2e for each term of H, plus H's count."""
-    sweep = sum(max(0, n - 2 * k) for k in range(1, n + 1, 2))
-    if n < 2:
-        return sweep
-    support = [e for e, _ in pentagonal_terms_upto(n // 2)]
-    return (sweep + sum(max(0, n + 1 - 2 * e) for e in support)
-            + odd_product_updates(n // 2))
-
-
-def test_full_product_updates_meet_the_sieved_closed_form(monkeypatch):
-    # counting rule: a multiply-kernel call updates len - start entries,
-    # a sparse pass len - e for each nonzero term, and a division term
-    # len - step*e, each never below 0; one coefficient update each
-    updates = []
-    mul_kernel = pentagon.series._mul_binomial_inplace
-    times_kernel = pentagon.series._times_sparse
-    div_kernel = pentagon.series._div_sparse_inplace
-
-    def counted_mul(coeffs, k, start=None):
-        updates.append(max(0, len(coeffs) - (k if start is None else start)))
-        mul_kernel(coeffs, k, start)
-
-    def counted_times(a, terms):
-        terms = list(terms)
-        updates.append(sum(max(0, len(a) - e) for e, c in terms if c))
-        return times_kernel(a, terms)
-
-    def counted_div(coeffs, terms, step):
-        terms = list(terms)
-        updates.append(sum(max(0, len(coeffs) - step * e) for e, c in terms if c))
-        div_kernel(coeffs, terms, step)
-
-    monkeypatch.setattr(pentagon.series, "_mul_binomial_inplace", counted_mul)
-    monkeypatch.setattr(pentagon.series, "_times_sparse", counted_times)
-    monkeypatch.setattr(pentagon.series, "_div_sparse_inplace", counted_div)
+    monkeypatch.setattr(pentagon.series, "_add_shifted", recorded)
     partial_product(2000, 2000)
-    assert sum(updates) == sieved_product_updates(2000)
-    assert sieved_product_updates(2000) < odd_product_updates(2000)
+    expected = [(e + 1, c) for e, c in pentagonal_terms_upto(2000)[1:]]
+    assert pushes == expected
+
+
+def plain_divisor_sum(n):
+    return sum(d for d in range(1, n + 1) if n % d == 0)
+
+
+def test_divisor_sums_match_a_plain_divisor_loop():
+    assert _divisor_sums(0) == [0]
+    assert _divisor_sums(500) == [0] + [plain_divisor_sum(n) for n in range(1, 501)]
+
+
+@pytest.mark.parametrize("wrong", (2, 3, 97, 500))
+def test_a_wrong_divisor_sum_raises_naming_its_exponent(monkeypatch, wrong):
+    # sigma(wrong) one too large leaves a sum that wrong does not divide;
+    # the product must stop there, not round the quotient and go on
+    original = pentagon.series._divisor_sums
+
+    def off_by_one(n):
+        sums = original(n)
+        sums[wrong] += 1
+        return sums
+
+    monkeypatch.setattr(pentagon.series, "_divisor_sums", off_by_one)
+    with pytest.raises(ArithmeticError, match=f"^x\\^{wrong}: {wrong} does not divide "):
+        partial_product(600, 600)
 
 
 def test_an_order_no_list_can_hold_is_named_not_a_memory_error():
