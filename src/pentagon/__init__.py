@@ -51,23 +51,13 @@ from .telescope import (
     expand_tail,
     initial_tail,
     reduce_step,
-    reduction_identity_holds,
     replay_stages,
     run_telescope,
-    verify_step,
 )
 from .verify import (
-    CascadeReport,
-    CascadeStep,
     CheckResult,
-    RootEntry,
-    cascade_quotient,
-    division_cascade,
     eval_partial_product_at_root,
     full_verification,
-    primitive_root_entries,
-    root_multiplicity,
-    series_fingerprint,
 )
 
 __version__ = "0.1.0"
@@ -75,22 +65,17 @@ __version__ = "0.1.0"
 __all__ = [
     "ENUMERATION_LIMIT",
     "PREFIX_TERMS",
-    "CascadeReport",
-    "CascadeStep",
     "CheckResult",
     "DerivationTrace",
     "EmissionRecord",
     "PartitionTable",
     "PentagonalPair",
-    "RootEntry",
     "StageVerificationError",
     "TailFamily",
     "TruncatedSeries",
     "add",
-    "cascade_quotient",
     "closed_form_series",
     "div_binomial",
-    "division_cascade",
     "eval_partial_product_at_root",
     "expand_tail",
     "format_series",
@@ -110,19 +95,14 @@ __all__ = [
     "pentagonal_pair",
     "pentagonal_pairs_upto",
     "pentagonal_terms_upto",
-    "primitive_root_entries",
     "product_range",
     "reciprocal_series",
     "recurrence_support",
     "reduce_step",
-    "reduction_identity_holds",
     "replay_stages",
-    "root_multiplicity",
     "run_telescope",
-    "series_fingerprint",
     "series_from_json",
     "sub",
     "to_dense_json",
     "to_sparse_json",
-    "verify_step",
 ]

@@ -54,6 +54,8 @@ def recurrence_support(n_max: int) -> list[tuple[int, int]]:
     the sign for pair index k is (-1)^(k-1).
     """
     _require_int(n_max, "n_max")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     return [(e, -s) for e, s in pentagonal_terms_upto(n_max)[1:]]
 
 

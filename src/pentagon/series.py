@@ -356,7 +356,10 @@ def _json_int(value: object, field: str) -> int:
     # not int(value): it truncates 2.9, takes True as 1 and reads "1_0" and " 1"
     if type(value) is int or (
             isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value)):
-        return int(value)
+        try:
+            return int(value)
+        except ValueError as exc:  # more digits than the interpreter converts
+            raise ValueError(f"{field}: {exc}") from None
     raise ValueError(f"{field}: expected an int or a decimal string, got {value!r}")
 
 
@@ -378,12 +381,15 @@ def series_from_json(obj: dict) -> TruncatedSeries:
 
     Every number must be an int or a decimal string, the order is >= 0,
     a dense list holds order + 1 coefficients, and sparse exponents lie
-    in 0..order without repeats; anything else, a missing field or a
-    field of the wrong JSON type included, raises ``ValueError``.
+    in 0..order without repeats; anything else, a missing field, a field
+    of the wrong JSON type or both ``coeffs`` and ``terms`` included,
+    raises ``ValueError``.
     """
     order = _json_int(_json_field(obj, "order"), "order")
     if "coeffs" not in obj and "terms" not in obj:
         raise ValueError("coeffs or terms: missing")
+    if "coeffs" in obj and "terms" in obj:
+        raise ValueError("coeffs and terms: expected one of them, got both")
     if order < 0:
         raise ValueError(f"order: must be >= 0, got {order}")
     if "coeffs" in obj:

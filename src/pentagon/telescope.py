@@ -75,7 +75,7 @@ class EmissionRecord:
 
     ``first_sign`` and ``second_sign`` are the signs the monomials carry
     in the assembled series; inside the stage equation itself they appear
-    multiplied by ``contribution`` (the tail's own sign in the series).
+    multiplied by (-1)^stage, the reduced tail's own sign in the series.
     """
 
     stage: int
@@ -85,15 +85,10 @@ class EmissionRecord:
     second_sign: int
 
     @property
-    def contribution(self) -> int:
-        """Sign of the reduced tail inside the full series: (-1)^stage."""
-        return -1 if self.stage % 2 else 1
-
-    @property
     def tail_signs(self) -> tuple[int, int]:
         """Signs of the two monomials inside the tail equation itself."""
-        return (self.first_sign * self.contribution,
-                self.second_sign * self.contribution)
+        c = (-1) ** self.stage
+        return self.first_sign * c, self.second_sign * c
 
 
 @dataclass(frozen=True)
@@ -225,21 +220,9 @@ def _identity_holds(lhs: TruncatedSeries, record: EmissionRecord,
     return tuple(rhs) == lhs.coeffs
 
 
-def reduction_identity_holds(t: TailFamily, record: EmissionRecord,
-                             nxt: TailFamily, order: int) -> bool:
-    """Exact check of tail = s1*x^e1 + s2*x^e2 - next, in the truncated ring."""
-    return _identity_holds(expand_tail(t, order), record, expand_tail(nxt, order))
-
-
 def _step_order(t: TailFamily, order: int | None) -> int:
     # By default, deep enough to see one full term of the next tail, not zeros.
     return g_minus(t.stage + 2) + 5 if order is None else order
-
-
-def verify_step(t: TailFamily, order: int | None = None) -> bool:
-    """Replay one reduction step and check its identity exactly."""
-    record, nxt = reduce_step(t)
-    return reduction_identity_holds(t, record, nxt, _step_order(t, order))
 
 
 def _verified_stages(t: TailFamily, order: int | None

@@ -7,15 +7,13 @@ unity every factor with index divisible by d vanishes, so the partial
 product over k <= m has that root with multiplicity floor(m/d). Both
 facts are decided in exact integers, the roots in Z[x]/(x^d - 1).
 
-One cascade serves every consumer. It divides a single coefficient list
-in place, one blockwise division per factor, and yields that list after
-each step. Before step k a correct quotient is 1 - x^k + O(x^(k+1)), so
-the division only clears x^k and updates the coefficients above x^(2k):
-about order^2/4 updates in all instead of order^2/2, and a single
-assignment for k > order/2. A list without that head, which only a wrong
-quotient has, is divided in full from there on, so every step is exact.
-Consumers: ``division_cascade`` fingerprints each quotient,
-``cascade_quotient`` copies the step it is asked for, and
+The cascade divides a single coefficient list in place, one blockwise
+division per factor, and yields that list after each step. Before step
+k a correct quotient is 1 - x^k + O(x^(k+1)), so the division only
+clears x^k and updates the coefficients above x^(2k): about order^2/4
+updates in all instead of order^2/2, and a single assignment for
+k > order/2. A list without that head, which only a wrong quotient has,
+is divided in full from there on, so every step is exact.
 ``full_verification`` multiplies each sampled quotient back by the
 factors it lost and compares the result with the full product, which it
 builds as ``expand`` does, as exact coefficient lists. Each root order d
@@ -26,7 +24,6 @@ every primitive d-th root at once.
 from __future__ import annotations
 
 import cmath
-import hashlib
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
@@ -36,30 +33,6 @@ from operator import sub
 from .pentagonal import closed_form_series
 from .series import (TruncatedSeries, _div_binomial_inplace,
                      _mul_binomial_inplace, _require_int, partial_product)
-
-
-def _fingerprint(coeffs: list[int] | tuple[int, ...]) -> str:
-    # the cascade hashes its list as it stands, without building a series
-    payload = f"order={len(coeffs) - 1};" + ",".join(map(str, coeffs))
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()
-
-
-def series_fingerprint(s: TruncatedSeries) -> str:
-    """Stable content hash of a series: order plus decimal coefficients."""
-    return _fingerprint(s.coeffs)
-
-
-@dataclass(frozen=True)
-class CascadeStep:
-    k: int
-    fingerprint: str
-
-
-@dataclass(frozen=True)
-class CascadeReport:
-    order: int
-    steps: tuple[CascadeStep, ...]
-    final_is_unity: bool
 
 
 def _cascade(series: TruncatedSeries) -> Iterator[list[int]]:
@@ -96,75 +69,6 @@ def _cascade(series: TruncatedSeries) -> Iterator[list[int]]:
         yield coeffs
 
 
-def division_cascade(order: int) -> CascadeReport:
-    """Divide the closed form by (1 - x^k) for k = 1..order, in order.
-
-    Quotients are recorded as fingerprints, comparable against any
-    independently built series.
-    """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    quotients = _cascade(closed_form_series(order))
-    q = next(quotients)
-    steps = []
-    for k, q in enumerate(quotients, 1):
-        steps.append(CascadeStep(k, _fingerprint(q)))
-    return CascadeReport(order, tuple(steps), q == [1] + [0] * order)
-
-
-def cascade_quotient(order: int, upto_k: int) -> TruncatedSeries:
-    """The quotient after dividing out factors 1..upto_k, for spot checks.
-
-    Past upto_k = order every factor is gone and the quotient stays 1.
-    """
-    _require_int(upto_k, "upto_k")
-    if upto_k < 0:
-        raise ValueError(f"upto_k must be >= 0, got {upto_k}")
-    for k, q in enumerate(_cascade(closed_form_series(order))):
-        if k >= upto_k:
-            break
-    return TruncatedSeries(tuple(q))
-
-
-def root_multiplicity(d: int, m: int) -> int:
-    """Multiplicity of a primitive d-th root of unity in prod_(k<=m)(1 - x^k).
-
-    One factor per index k divisible by d, hence floor(m/d).
-    """
-    _require_int(d, "d")
-    _require_int(m, "m")
-    if d < 1 or m < 1:
-        raise ValueError("d and m must both be >= 1")
-    return m // d
-
-
-@dataclass(frozen=True)
-class RootEntry:
-    """A primitive d-th root of unity, indexed by j with gcd(j, d) = 1."""
-
-    d: int
-    j: int
-
-    def __post_init__(self) -> None:
-        _require_int(self.d, "d")
-        _require_int(self.j, "j")
-        if self.d < 1:
-            raise ValueError(f"root order must be >= 1, got {self.d}")
-        if gcd(self.j, self.d) != 1:
-            raise ValueError(f"j = {self.j} is not coprime to d = {self.d}")
-
-    def multiplicity(self, m: int) -> int:
-        return root_multiplicity(self.d, m)
-
-
-def primitive_root_entries(d: int) -> list[RootEntry]:
-    """All primitive d-th roots, one entry per residue coprime to d."""
-    _require_int(d, "d")
-    if d < 1:
-        raise ValueError(f"root order must be >= 1, got {d}")
-    return [RootEntry(d, j) for j in range(1, d + 1) if gcd(j, d) == 1]
-
-
 def _subtract_rotated(v: list[int], k: int) -> list[int]:
     """v * (1 - x^k) in Z[x]/(x^d - 1), d = len(v): v minus v rotated by k."""
     s = len(v) - k % len(v)
@@ -191,7 +95,12 @@ def eval_partial_product_at_root(d: int, j: int, m: int) -> tuple[float, bool]:
     For m < d no factor vanishes, as no k <= m is a multiple of d, so
     is_zero is False without the sweep and its list of d integers.
     """
-    RootEntry(d, j)
+    _require_int(d, "d")
+    _require_int(j, "j")
+    if d < 1:
+        raise ValueError(f"root order must be >= 1, got {d}")
+    if gcd(j, d) != 1:
+        raise ValueError(f"j = {j} is not coprime to d = {d}")
     _require_int(m, "m")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -216,7 +125,7 @@ def _multiplicity_count_mismatch() -> int | None:
     """First m <= 50 where phi(d) * floor(m/d) summed over d <= m is not m(m+1)/2."""
     phi = [0] + [sum(gcd(j, d) == 1 for j in range(1, d + 1)) for d in range(1, 51)]
     return next((m for m in range(1, 51)
-                 if sum(phi[d] * root_multiplicity(d, m) for d in range(1, m + 1))
+                 if sum(phi[d] * (m // d) for d in range(1, m + 1))
                  != m * (m + 1) // 2), None)
 
 

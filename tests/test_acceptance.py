@@ -18,15 +18,8 @@ from pentagon.partitions import (
 )
 from pentagon.pentagonal import closed_form_series
 from pentagon.series import one, partial_product, product_range
-from pentagon.telescope import initial_tail, reduce_step, run_telescope, verify_step
-from pentagon.verify import (
-    cascade_quotient,
-    division_cascade,
-    eval_partial_product_at_root,
-    primitive_root_entries,
-    root_multiplicity,
-    series_fingerprint,
-)
+from pentagon.telescope import replay_stages, run_telescope
+from pentagon.verify import _cascade, eval_partial_product_at_root
 
 
 @contextmanager
@@ -63,14 +56,12 @@ def test_criterion_2_displayed_series_byte_exact(capsys):
 
 
 def test_criterion_3_telescoping_verified_at_order_1200():
-    with verdict(3, "both variants: stages through 25 pass verify_step at "
-                    "order 1200; reconstruction matches the closed form"):
+    with verdict(3, "both variants: stages through 25 pass their identity "
+                    "check at order 1200; reconstruction matches the closed form"):
         expected = closed_form_series(1200).coeffs
         for variant in (1, 2):
-            tail = initial_tail(variant)
-            for _ in range(25):
-                assert verify_step(tail, 1200), (variant, tail.stage)
-                _, tail = reduce_step(tail)
+            # raises StageVerificationError at the first stage that fails
+            assert len(replay_stages(variant, 25, 1200)) == 25
             trace = run_telescope(variant, 1200)
             assert len(trace.emissions) >= 25
             assert trace.reconstruct().coeffs == expected
@@ -110,27 +101,27 @@ def test_criterion_6_division_cascade():
     with verdict(6, "cascade at N=500 ends at the unit series; intermediates "
                     "at m in {1, 5, 50} equal the remaining products"):
         order = 500
-        report = division_cascade(order)
-        assert report.final_is_unity
-        assert cascade_quotient(order, order).coeffs == one(order).coeffs
-        for m in (1, 5, 50):
-            rest = product_range(m + 1, order, order)
-            assert report.steps[m - 1].fingerprint == series_fingerprint(rest)
-            assert cascade_quotient(order, m).coeffs == rest.coeffs
+        for m, q in enumerate(_cascade(closed_form_series(order))):
+            if m in (1, 5, 50):
+                assert q == list(product_range(m + 1, order, order).coeffs), m
+        assert m == order
+        assert q == list(one(order).coeffs)
 
 
 def test_criterion_7_root_structure():
     with verdict(7, "is_zero iff m >= d for d <= 12, m <= 24; multiplicity "
                     "count is complete for m <= 50"):
         for d in range(1, 13):
-            for entry in primitive_root_entries(d):
+            for j in range(1, d + 1):
+                if math.gcd(j, d) != 1:
+                    continue
                 for m in range(1, 25):
-                    _, is_zero = eval_partial_product_at_root(d, entry.j, m)
-                    assert is_zero == (m >= d), (d, entry.j, m)
+                    _, is_zero = eval_partial_product_at_root(d, j, m)
+                    assert is_zero == (m >= d), (d, j, m)
         for m in range(1, 51):
             total = sum(
                 sum(1 for j in range(1, d + 1) if math.gcd(j, d) == 1)
-                * root_multiplicity(d, m)
+                * (m // d)
                 for d in range(1, m + 1)
             )
             assert total == m * (m + 1) // 2, m

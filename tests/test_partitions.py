@@ -60,7 +60,8 @@ def test_recurrence_rejects_negative():
         partitions_recurrence(-1)
     with pytest.raises(ValueError):
         partitions_oracle_dp(-2)
-    with pytest.raises(ValueError):
+    # used to say "order must be >= 0", the name inside pentagonal_terms_upto
+    with pytest.raises(ValueError, match="^n_max must be >= 0, got -1$"):
         recurrence_support(-1)
 
 

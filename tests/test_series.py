@@ -661,6 +661,31 @@ def test_json_dense_rejects_a_count_that_does_not_match_the_order(obj, message):
         series_from_json(obj)
 
 
+def test_json_rejects_both_schemas_at_once():
+    # the dense list used to win and the terms were dropped without a word
+    obj = {"order": 2, "coeffs": ["1", "0", "0"], "terms": [{"exp": 1, "coeff": "5"}]}
+    with pytest.raises(ValueError, match="^coeffs and terms: "):
+        series_from_json(obj)
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="this Python converts any number of digits")
+@pytest.mark.parametrize("field", ["order", "coeffs", "exp", "coeff"])
+def test_json_names_the_field_of_a_string_past_the_digit_limit(field):
+    # int() used to raise its own message, which names no field
+    long = "9" * (_DIGIT_LIMIT + 1)
+    obj = {
+        "order": {"order": long, "coeffs": []},
+        "coeffs": {"order": 0, "coeffs": [long]},
+        "exp": {"order": 1, "terms": [{"exp": long, "coeff": "1"}]},
+        "coeff": {"order": 1, "terms": [{"exp": 1, "coeff": "-" + long}]},
+    }[field]
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        series_from_json(obj)
+
+
 def test_json_accepts_ints_and_signed_decimal_strings():
     big = "-" + "9" * 60
     parsed = series_from_json({"order": "2", "coeffs": [3, "+4", big]})

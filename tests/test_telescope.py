@@ -16,10 +16,8 @@ from pentagon.telescope import (
     expand_tail,
     initial_tail,
     reduce_step,
-    reduction_identity_holds,
     replay_stages,
     run_telescope,
-    verify_step,
 )
 
 
@@ -67,7 +65,6 @@ def test_reduce_step_variant1_stage1():
     assert (record.first_exponent, record.second_exponent) == (2, 5)
     assert (record.first_sign, record.second_sign) == (-1, 1)
     assert record.tail_signs == (1, -1)
-    assert record.contribution == -1
     assert (nxt.stage, nxt.base, nxt.step) == (2, 5, 2)
 
 
@@ -232,17 +229,15 @@ def test_expand_tail_vanishes_below_leading_exponent(variant, stage, order):
         assert expansion[tail.leading_exponent] == 1
 
 
-def test_verify_step_examples():
-    assert verify_step(initial_tail(1), 50)
-    assert verify_step(canonical_tail(2, 3), 80)
+def test_replay_stages_examples():
+    # stage 1 of variant 1, and stages 2 and 3 of variant 2
+    assert len(replay_stages(1, 1, 50)) == 1
+    assert len(replay_stages(2, 2, 80)) == 2
 
 
-def test_verify_step_default_order_all_early_stages():
+def test_replay_stages_default_order_all_early_stages():
     for variant in (1, 2):
-        tail = initial_tail(variant)
-        for _ in range(12):
-            assert verify_step(tail)
-            _, tail = reduce_step(tail)
+        assert len(replay_stages(variant, 12)) == 12
 
 
 def test_corrupted_next_tail_fails_identity():
@@ -250,26 +245,34 @@ def test_corrupted_next_tail_fails_identity():
         tail = initial_tail(variant)
         record, nxt = reduce_step(tail)
         order = g_minus(tail.stage + 2) + 5
-        assert reduction_identity_holds(tail, record, nxt, order)
+        lhs = expand_tail(tail, order)
+        assert pentagon.telescope._identity_holds(lhs, record, expand_tail(nxt, order))
         shifted = dataclasses.replace(nxt, base=nxt.base + 1)
-        assert not reduction_identity_holds(tail, record, shifted, order)
+        assert not pentagon.telescope._identity_holds(
+            lhs, record, expand_tail(shifted, order))
 
 
 def test_corrupted_emission_fails_identity():
     tail = canonical_tail(1, 3)
     record, nxt = reduce_step(tail)
     order = g_minus(5) + 5
+    lhs, rest = expand_tail(tail, order), expand_tail(nxt, order)
+    assert pentagon.telescope._identity_holds(lhs, record, rest)
     wrong_exp = dataclasses.replace(record, second_exponent=record.second_exponent + 1)
-    assert not reduction_identity_holds(tail, wrong_exp, nxt, order)
+    assert not pentagon.telescope._identity_holds(lhs, wrong_exp, rest)
     wrong_sign = dataclasses.replace(record, first_sign=-record.first_sign)
-    assert not reduction_identity_holds(tail, wrong_sign, nxt, order)
+    assert not pentagon.telescope._identity_holds(lhs, wrong_sign, rest)
 
 
 def test_corrupted_bare_head_flag_fails_identity():
     tail = canonical_tail(2, 3)
     record, nxt = reduce_step(tail)
+    order = g_minus(5) + 5
+    lhs = expand_tail(tail, order)
+    assert pentagon.telescope._identity_holds(lhs, record, expand_tail(nxt, order))
     flipped = dataclasses.replace(nxt, includes_bare_head=False)
-    assert not reduction_identity_holds(tail, record, flipped, g_minus(5) + 5)
+    assert not pentagon.telescope._identity_holds(
+        lhs, record, expand_tail(flipped, order))
 
 
 def test_emissions_match_pentagonal_formulas():
@@ -362,7 +365,6 @@ def test_variants_emit_identical_term_multisets(order):
     (lambda: replay_stages(1, 3, 40.0), "order must be an int, got 40.0"),
     (lambda: expand_tail(initial_tail(1), 12.0), "order must be an int, got 12.0"),
     (lambda: expand_tail(initial_tail(1), True), "order must be an int, got True"),
-    (lambda: verify_step(initial_tail(1), 12.0), "order must be an int, got 12.0"),
     (lambda: TailFamily(1, 2.0, 5, 2, True), "stage must be an int, got 2.0"),
     (lambda: TailFamily(True, 1, 1, 1, False), "variant must be an int, got True"),
     (lambda: TailFamily(1, 1, 1.0, 1, False), "base must be an int, got 1.0"),
@@ -383,11 +385,13 @@ def test_entry_points_name_the_argument_they_reject(call, message):
 def test_each_emission_carries_the_sign_of_its_stage(variant):
     records = run_telescope(variant, 1200).emissions
     assert records
-    assert all(r.contribution == (-1) ** r.stage for r in records)
+    assert all(r.first_sign == (-1) ** r.stage for r in records)
     record = EmissionRecord(stage=4, first_exponent=22, second_exponent=26,
                             first_sign=1, second_sign=1)
-    assert record.contribution == 1
     assert record.tail_signs == (1, 1)
+    record = EmissionRecord(stage=3, first_exponent=15, second_exponent=22,
+                            first_sign=-1, second_sign=1)
+    assert record.tail_signs == (1, -1)
 
 
 def test_replay_stages_counts_and_validation():

@@ -1,7 +1,6 @@
 """Division cascade, root multiplicities, and the bundled check suite."""
 
 import math
-from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,53 +17,30 @@ from pentagon.series import (
 )
 from pentagon.verify import (
     CheckResult,
-    RootEntry,
-    cascade_quotient,
-    division_cascade,
     eval_partial_product_at_root,
     full_verification,
-    primitive_root_entries,
-    root_multiplicity,
-    series_fingerprint,
 )
 
 
-def test_fingerprint_distinguishes_content_and_order():
-    a = make_series([1, -1], 2)
-    assert series_fingerprint(a) == series_fingerprint(make_series([1, -1], 2))
-    assert series_fingerprint(a) != series_fingerprint(make_series([1, 1], 2))
-    assert series_fingerprint(a) != series_fingerprint(make_series([1, -1], 3))
-
-
-def test_fingerprint_frozen_value():
-    # sha256 of the documented payload "order=2;1,-1,0"
-    digest = series_fingerprint(make_series([1, -1], 2))
-    assert digest == (
-        "7aa40125b6ade4f02a337a18451cac99c5edac05fb807f38c4e16951122945c1"
-    )
+def cascade_quotients(order):
+    """Copies of the closed form's quotients after steps 0..order."""
+    return [q[:] for q in pentagon.verify._cascade(closed_form_series(order))]
 
 
 def test_cascade_smallest_order():
-    report = division_cascade(1)
-    assert report.final_is_unity
-    assert len(report.steps) == 1
-    assert report.steps[0].k == 1
+    assert cascade_quotients(1) == [[1, -1], [1, 0]]
 
 
 def test_cascade_first_step_strips_first_factor():
-    report = division_cascade(10)
-    rest = product_range(2, 10, 10)
-    assert report.steps[0].fingerprint == series_fingerprint(rest)
+    assert cascade_quotients(10)[1] == list(product_range(2, 10, 10).coeffs)
 
 
 def test_cascade_intermediates_match_remaining_products():
     order = 120
-    report = division_cascade(order)
-    for m in range(order + 1):
-        rest = product_range(m + 1, order, order)
-        if m:
-            assert report.steps[m - 1].fingerprint == series_fingerprint(rest)
-        assert cascade_quotient(order, m).coeffs == rest.coeffs
+    quotients = cascade_quotients(order)
+    assert len(quotients) == order + 1
+    for m, q in enumerate(quotients):
+        assert q == list(product_range(m + 1, order, order).coeffs), m
 
 
 def test_cascade_starts_every_step_of_the_closed_form_at_2k_plus_1(monkeypatch):
@@ -117,72 +93,42 @@ def test_cascade_divides_in_full_after_the_first_wrong_head():
 
 def test_cascade_ends_at_unity():
     for order in (1, 2, 7, 40, 120):
-        report = division_cascade(order)
-        assert report.final_is_unity
-        assert [s.k for s in report.steps] == list(range(1, order + 1))
-    assert cascade_quotient(40, 40).coeffs == one(40).coeffs
-
-
-def test_cascade_rejects_order_zero():
-    with pytest.raises(ValueError):
-        division_cascade(0)
-
-
-def test_cascade_quotient_at_step_zero_and_past_the_order():
-    assert cascade_quotient(10, 0).coeffs == closed_form_series(10).coeffs
-    assert cascade_quotient(12, 40).coeffs == one(12).coeffs
-
-
-def test_root_multiplicity_examples():
-    assert root_multiplicity(1, 5) == 5
-    assert root_multiplicity(2, 10) == 5
-    assert root_multiplicity(7, 6) == 0
-    with pytest.raises(ValueError):
-        root_multiplicity(0, 3)
-    with pytest.raises(ValueError):
-        root_multiplicity(3, 0)
-
-
-@pytest.mark.parametrize("args, message", (
-    ((2.0, 5), "d must be an int, got 2.0"),
-    ((True, 5), "d must be an int, got True"),
-    ((2, 5.0), "m must be an int, got 5.0"),
-))
-def test_root_multiplicity_rejects_arguments_that_are_not_ints(args, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        root_multiplicity(*args)
-
-
-@given(st.integers(1, 200), st.integers(1, 200))
-def test_root_multiplicity_counts_divisible_factors(d, m):
-    assert root_multiplicity(d, m) == sum(1 for k in range(1, m + 1) if k % d == 0)
+        *_, last = pentagon.verify._cascade(closed_form_series(order))
+        assert last == list(one(order).coeffs)
 
 
 @pytest.mark.parametrize("d", (0, -3))
-def test_root_entries_reject_a_root_order_below_1(d):
-    # they returned [] where RootEntry rejects the same d
+def test_eval_rejects_a_root_order_below_1(d):
     with pytest.raises(ValueError, match=f"^root order must be >= 1, got {d}$"):
-        primitive_root_entries(d)
+        eval_partial_product_at_root(d, 1, 3)
 
 
-def test_root_entries_are_primitive():
-    assert [e.j for e in primitive_root_entries(1)] == [1]
-    assert [e.j for e in primitive_root_entries(12)] == [1, 5, 7, 11]
-    with pytest.raises(ValueError):
-        RootEntry(6, 3)
-    assert RootEntry(4, 3).multiplicity(9) == 2
+def test_eval_accepts_exactly_the_primitive_indices():
+    def accepted(d):
+        js = []
+        for j in range(1, d + 1):
+            try:
+                eval_partial_product_at_root(d, j, 1)
+            except ValueError:
+                continue
+            js.append(j)
+        return js
+
+    assert accepted(1) == [1]
+    assert accepted(12) == [1, 5, 7, 11]
+    with pytest.raises(ValueError, match="^j = 3 is not coprime to d = 6$"):
+        eval_partial_product_at_root(6, 3, 1)
 
 
-@pytest.mark.parametrize("function, args, message", (
-    (RootEntry, (True, 1), "d must be an int, got True"),
-    (RootEntry, (5, 2.0), "j must be an int, got 2.0"),
-    (primitive_root_entries, (2.0,), "d must be an int, got 2.0"),
-    (eval_partial_product_at_root, (2.0, 1, 3), "d must be an int, got 2.0"),
-    (eval_partial_product_at_root, (3, 1, 2.0), "m must be an int, got 2.0"),
-), ids=lambda value: value.__name__ if callable(value) else None)
-def test_root_entry_points_reject_arguments_that_are_not_ints(function, args, message):
+@pytest.mark.parametrize("args, message", (
+    ((True, 1, 3), "d must be an int, got True"),
+    ((2.0, 1, 3), "d must be an int, got 2.0"),
+    ((5, 2.0, 3), "j must be an int, got 2.0"),
+    ((3, 1, 2.0), "m must be an int, got 2.0"),
+))
+def test_eval_rejects_arguments_that_are_not_ints(args, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        function(*args)
+        eval_partial_product_at_root(*args)
 
 
 def test_eval_examples():
@@ -205,10 +151,12 @@ def test_eval_rejects_non_primitive_index():
 
 def test_eval_zero_iff_enough_factors():
     for d in range(1, 9):
-        for entry in primitive_root_entries(d):
+        for j in range(1, d + 1):
+            if math.gcd(j, d) != 1:
+                continue
             for m in range(1, 17):
-                _, is_zero = eval_partial_product_at_root(d, entry.j, m)
-                assert is_zero == (m >= d), (d, entry.j, m)
+                _, is_zero = eval_partial_product_at_root(d, j, m)
+                assert is_zero == (m >= d), (d, j, m)
 
 
 def test_eval_below_the_root_order_needs_no_list_of_d_entries():
@@ -248,7 +196,7 @@ def test_root_count_completeness():
         total = 0
         for d in range(1, m + 1):
             phi = sum(1 for j in range(1, d + 1) if math.gcd(j, d) == 1)
-            total += phi * root_multiplicity(d, m)
+            total += phi * (m // d)
         assert total == m * (m + 1) // 2
 
 
@@ -269,12 +217,6 @@ def test_full_verification_validates_arguments():
 @pytest.mark.parametrize("function, args, message", (
     (full_verification, (2.5,), "order must be an int, got 2.5"),
     (full_verification, (60, 6.0), "roots_max_d must be an int, got 6.0"),
-    (division_cascade, (2.0,), "order must be an int, got 2.0"),
-    (cascade_quotient, (True, 1), "order must be an int, got True"),
-    (cascade_quotient, (10, 2.5), "upto_k must be an int, got 2.5"),
-    (cascade_quotient, (10, True), "upto_k must be an int, got True"),
-    (cascade_quotient, (10, -1), "upto_k must be >= 0, got -1"),
-    (cascade_quotient, (10, -3), "upto_k must be >= 0, got -3"),
 ), ids=lambda value: value.__name__ if callable(value) else None)
 def test_checks_reject_arguments_that_are_not_counts(function, args, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -352,23 +294,17 @@ def test_full_verification_multiplies_each_sampled_quotient_back_in_full(monkeyp
     assert len(calls) == 1 + 5 + 50
 
 
-def test_full_verification_divides_once_per_factor_and_hashes_nothing(monkeypatch):
-    calls = Counter()
+def test_full_verification_divides_once_per_factor(monkeypatch):
+    factors = []
+    original = pentagon.verify._div_binomial_inplace
 
-    def counted(name):
-        original = getattr(pentagon.verify, name)
+    def recorded(coeffs, k, *args):
+        factors.append(k)
+        original(coeffs, k, *args)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(pentagon.verify, name, wrapper)
-
-    counted("series_fingerprint")
-    counted("_div_binomial_inplace")
+    monkeypatch.setattr(pentagon.verify, "_div_binomial_inplace", recorded)
     assert all(c.passed for c in full_verification(300, 6))
-    assert calls["series_fingerprint"] == 0
-    assert calls["_div_binomial_inplace"] == 300
+    assert factors == list(range(1, 301))
 
 
 def test_multiplicity_count_is_checked_once(monkeypatch):
