@@ -375,6 +375,11 @@ def test_variants_emit_identical_term_multisets(order):
     (lambda: TailFamily(2, 2, 5, 2, None), "includes_bare_head must be a bool, got None"),
     # names the order it was given, not the length of an empty series
     (lambda: expand_tail(initial_tail(1), -5), "order must be >= 0, got -5"),
+    (lambda: replay_stages(1, 0), "stages must be >= 1, got 0"),
+    (lambda: run_telescope(1, 1), "order must be >= 2, got 1"),
+    (lambda: initial_tail(3), "variant must be 1 or 2, got 3"),
+    (lambda: initial_tail(1.0), "variant must be an int, got 1.0"),
+    (lambda: TailFamily(1, 0, 1, 1, False), "stage, base and step must all be >= 1"),
 ))
 def test_entry_points_name_the_argument_they_reject(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

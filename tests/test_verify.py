@@ -91,6 +91,11 @@ def test_cascade_divides_in_full_after_the_first_wrong_head():
     assert_cascade_divides_exactly(make_series(coeffs, 60))
 
 
+def test_cascade_yields_its_input_before_the_first_step():
+    assert cascade_quotients(10)[0] == list(closed_form_series(10).coeffs)
+    assert cascade_quotients(0) == [[1]]
+
+
 def test_cascade_ends_at_unity():
     for order in (1, 2, 7, 40, 120):
         *_, last = pentagon.verify._cascade(closed_form_series(order))
@@ -125,6 +130,9 @@ def test_eval_accepts_exactly_the_primitive_indices():
     ((2.0, 1, 3), "d must be an int, got 2.0"),
     ((5, 2.0, 3), "j must be an int, got 2.0"),
     ((3, 1, 2.0), "m must be an int, got 2.0"),
+    ((5, True, 3), "j must be an int, got True"),
+    ((3, 1, True), "m must be an int, got True"),
+    ((3, 1, 0), "m must be >= 1, got 0"),
 ))
 def test_eval_rejects_arguments_that_are_not_ints(args, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -217,6 +225,11 @@ def test_full_verification_validates_arguments():
 @pytest.mark.parametrize("function, args, message", (
     (full_verification, (2.5,), "order must be an int, got 2.5"),
     (full_verification, (60, 6.0), "roots_max_d must be an int, got 6.0"),
+    (full_verification, (2.0,), "order must be an int, got 2.0"),
+    (full_verification, (True,), "order must be an int, got True"),
+    (full_verification, (60, True), "roots_max_d must be an int, got True"),
+    (full_verification, (1,), "order must be >= 2, got 1"),
+    (full_verification, (10, 0), "roots_max_d must be >= 1, got 0"),
 ), ids=lambda value: value.__name__ if callable(value) else None)
 def test_checks_reject_arguments_that_are_not_counts(function, args, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
