@@ -14,7 +14,6 @@ from .partitions import (
     partitions_oracle_dp,
     partitions_recurrence,
     reciprocal_series,
-    recurrence_support,
 )
 from .pentagonal import (
     PentagonalPair,
@@ -56,7 +55,6 @@ from .telescope import (
 )
 from .verify import (
     CheckResult,
-    eval_partial_product_at_root,
     full_verification,
 )
 
@@ -76,7 +74,6 @@ __all__ = [
     "add",
     "closed_form_series",
     "div_binomial",
-    "eval_partial_product_at_root",
     "expand_tail",
     "format_series",
     "full_verification",
@@ -97,7 +94,6 @@ __all__ = [
     "pentagonal_terms_upto",
     "product_range",
     "reciprocal_series",
-    "recurrence_support",
     "reduce_step",
     "replay_stages",
     "run_telescope",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .pentagonal import pentagonal_terms_upto
 from .series import (TruncatedSeries, _check_index, _div_binomial_inplace,
                      _div_sparse_inplace, _require_int, _require_int_tuple,
-                     _zeros, make_series)
+                     _zeros)
 
 ENUMERATION_LIMIT = 45
 
@@ -46,19 +46,6 @@ class PartitionTable:
         return len(self.values)
 
 
-def recurrence_support(n_max: int) -> list[tuple[int, int]]:
-    """(offset, sign) pairs of the p(n) recurrence, ascending by offset.
-
-    The nonzero terms of the closed form above x^0, with their signs
-    flipped: these terms sit on the inverse side of the identity, so
-    the sign for pair index k is (-1)^(k-1).
-    """
-    _require_int(n_max, "n_max")
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    return [(e, -s) for e, s in pentagonal_terms_upto(n_max)[1:]]
-
-
 def _reciprocal_coeffs(n: int) -> list[int]:
     """q_0..q_n of 1 / closed form, by one sparse long division.
 
@@ -66,17 +53,16 @@ def _reciprocal_coeffs(n: int) -> list[int]:
     through the series kernel ``_div_sparse_inplace``: q_m is minus the
     sum of c * q_(m-e) over the terms (e, c) with e <= m.
     """
-    terms = pentagonal_terms_upto(n)[1:]
     q = _zeros(n)
     q[0] = 1
-    _div_sparse_inplace(q, terms)
+    _div_sparse_inplace(q, pentagonal_terms_upto(n)[1:])
     return q
 
 
 def reciprocal_series(order: int) -> TruncatedSeries:
     """The series r with closed_form * r = 1 at this order."""
     _require_int(order, "order")
-    return make_series(_reciprocal_coeffs(order), order)
+    return TruncatedSeries(tuple(_reciprocal_coeffs(order)))
 
 
 def partitions_recurrence(n_max: int) -> PartitionTable:
@@ -101,7 +87,8 @@ def partitions_oracle_dp(n_max: int) -> PartitionTable:
     _require_int(n_max, "n_max")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    values = [1] + [0] * n_max
+    values = _zeros(n_max)
+    values[0] = 1
     for k in range(n_max, 0, -1):
         values[k] += 1
         _div_binomial_inplace(values, k, 2 * k)

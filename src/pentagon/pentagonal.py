@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import count, takewhile
 from typing import Iterator
 
-from .series import TruncatedSeries, _require_int, make_series
+from .series import TruncatedSeries, _require_int, _zeros
 
 
 def g_minus(n: int) -> int:
@@ -75,7 +75,7 @@ def pentagonal_terms_upto(order: int) -> list[tuple[int, int]]:
 def closed_form_series(order: int) -> TruncatedSeries:
     """The sparse expansion of prod (1 - x^k), assembled term by term."""
     _require_int(order, "order")
-    coeffs = [0] * (order + 1)
+    coeffs = _zeros(order)
     for exponent, sign in pentagonal_terms_upto(order):
         coeffs[exponent] = sign
-    return make_series(coeffs, order)
+    return TruncatedSeries(tuple(coeffs))

@@ -92,11 +92,11 @@ def _check_index(index: object, last: int, name: str) -> None:
 def make_series(coeffs: list[int] | tuple[int, ...], order: int) -> TruncatedSeries:
     """Build a series from low-order coefficients, zero-filling up to x^order."""
     _require_int(order, "order")
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    out = _zeros(order)
     if len(coeffs) > order + 1:
         raise ValueError(f"{len(coeffs)} coefficients do not fit in order {order}")
-    return TruncatedSeries(tuple(coeffs) + (0,) * (order + 1 - len(coeffs)))
+    out[:len(coeffs)] = coeffs
+    return TruncatedSeries(tuple(out))
 
 
 def one(order: int) -> TruncatedSeries:
@@ -111,7 +111,10 @@ def monomial(exponent: int, order: int, coeff: int = 1) -> TruncatedSeries:
     _require_int(coeff, "coeff")
     if exponent < 0:
         raise ValueError(f"exponent must be >= 0, got {exponent}")
-    return make_series([0] * exponent + [coeff] if exponent <= order else [], order)
+    out = _zeros(order)
+    if exponent <= order:
+        out[exponent] = coeff
+    return TruncatedSeries(tuple(out))
 
 
 def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -126,30 +129,20 @@ def sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Product truncated to the smaller order: one pass over b per nonzero a_i."""
-    n = min(len(a.coeffs), len(b.coeffs))
-    return TruncatedSeries(tuple(_times_sparse(b.coeffs[:n], enumerate(a.coeffs[:n]))))
-
-
-def _mul_binomial_inplace(coeffs: list[int], k: int, start: int | None = None) -> None:
-    """coeffs *= (1 - x^k) modulo x^len(coeffs): p_i = a_i - a_(i-k).
-
-    Updates begin at ``start``, by default k. A later start is exact when
-    the entries below it already hold p_i and those at start - k..start - 1
-    still hold a_i: ``product_range`` passes 2k + 1 for a list
-    1 + O(x^(k+1)) whose x^k it has just decremented. Both slices are
-    copied before the assignment, so every term reads the old
-    coefficients.
-    """
-    if start is None:
-        start = k
-    coeffs[start:] = map(_int_sub, coeffs[start:], coeffs[start - k:])
+    out = [0] * min(len(a.coeffs), len(b.coeffs))
+    for e, c in enumerate(a.coeffs[:len(out)]):
+        if c:
+            _add_shifted(out, e, c, b.coeffs)
+    return TruncatedSeries(tuple(out))
 
 
 def _add_shifted(out: list[int], e: int, c: int, a: list[int] | tuple[int, ...]) -> None:
     """out += c * x^e * a modulo x^len(out), for c != 0, in one shifted C-level pass.
 
-    An add or a subtract for +-1, any other c multiplied in exactly. ``a``
-    must hold at least len(out) - e entries, so the slice keeps its length.
+    The one in-place multiplication kernel. An add or a subtract for
+    +-1, any other c multiplied in exactly. ``a`` must hold at least
+    len(out) - e entries, so the slice keeps its length; it may be
+    ``out`` itself, as every new entry is computed before any is stored.
     """
     if c == 1:
         out[e:] = map(_int_add, out[e:], a)
@@ -159,26 +152,16 @@ def _add_shifted(out: list[int], e: int, c: int, a: list[int] | tuple[int, ...])
         out[e:] = [t + c * h for t, h in zip(out[e:], a)]
 
 
-def _times_sparse(a: list[int] | tuple[int, ...],
-                  terms: Iterable[tuple[int, int]]) -> list[int]:
-    """a * (the sum of c*x^e over the (e, c) in terms) modulo x^len(a), as a new list.
-
-    One ``_add_shifted`` pass per nonzero term.
-    """
-    out = [0] * len(a)
-    for e, c in terms:
-        if c:
-            _add_shifted(out, e, c, a)
-    return out
-
-
 def mul_binomial(a: TruncatedSeries, k: int, c: int) -> TruncatedSeries:
     """Multiply by the sparse factor (1 + c*x^k) in O(order) coefficient ops."""
     _require_int(k, "k")
     _require_int(c, "c")
     if k < 1:
         raise ValueError(f"binomial exponent must be >= 1, got {k}")
-    return TruncatedSeries(tuple(_times_sparse(a.coeffs, ((0, 1), (k, c)))))
+    out = list(a.coeffs)
+    if c:
+        _add_shifted(out, k, c, a.coeffs)
+    return TruncatedSeries(tuple(out))
 
 
 def _div_binomial_inplace(coeffs: list[int], k: int, start: int | None = None) -> None:
@@ -252,7 +235,9 @@ def _div_sparse_inplace(coeffs: list[int], terms: Iterable[tuple[int, int]]) -> 
 
 
 def _zeros(order: int) -> list[int]:
-    """order + 1 zeros, or ValueError naming an order no list can hold."""
+    """order + 1 zeros, or ValueError naming an order below 0 or too large to hold."""
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     try:
         return [0] * (order + 1)
     except (MemoryError, OverflowError):
@@ -279,10 +264,11 @@ def product_range(first: int, last: int, order: int) -> TruncatedSeries:
     are applied largest first, so before factor k the running product is
     1 plus terms of degree > k: multiplying by (1 - x^k) subtracts x^k
     and x^k times those terms, which start at degree 2k + 1, so the
-    sweep decrements x^k and runs the multiply kernel from there. Factor
-    k thus costs max(0, order - 2k) updates past its decrement: about
-    order^2/4 in all, where applying the factors smallest first costs
-    about order^2/2. An order too large for a list raises ValueError.
+    sweep decrements x^k and subtracts a copy of the list from x^(k+1)
+    up, shifted to start at x^(2k+1); the copy holds every old entry.
+    Factor k thus costs max(0, order - 2k) updates past its decrement:
+    about order^2/4 in all, where applying the factors smallest first
+    costs about order^2/2. An order too large for a list raises ValueError.
 
     The full product P (first == 1 and last >= order) comes from its
     logarithmic derivative instead, as in Euler's E175: x*P'/P is
@@ -299,8 +285,6 @@ def product_range(first: int, last: int, order: int) -> TruncatedSeries:
     _require_int(order, "order")
     if first < 1:
         raise ValueError(f"factor range must start at >= 1, got {first}")
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
     cur = _zeros(order)
     cur[0] = 1
     if first == 1 and last >= order:
@@ -316,7 +300,7 @@ def product_range(first: int, last: int, order: int) -> TruncatedSeries:
     else:
         for k in range(min(last, order), first - 1, -1):
             cur[k] -= 1
-            _mul_binomial_inplace(cur, k, 2 * k + 1)
+            _add_shifted(cur, 2 * k + 1, -1, cur[k + 1:])
     return TruncatedSeries(tuple(cur))
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .pentagonal import g_minus
-from .series import TruncatedSeries, _div_binomial_inplace, _require_int
+from .series import TruncatedSeries, _div_binomial_inplace, _require_int, _zeros
 
 
 class StageVerificationError(RuntimeError):
@@ -93,13 +93,25 @@ class EmissionRecord:
 
 @dataclass(frozen=True)
 class DerivationTrace:
-    """A completed replay: prefix, every emission, and the unexpanded rest."""
+    """A completed replay: every emission and the unexpanded rest.
+
+    The prefix is not stored: it follows from the variant.
+    """
 
     variant: int
     order: int
-    prefix: tuple[tuple[int, int], ...]
     emissions: tuple[EmissionRecord, ...]
     residual: TailFamily
+
+    def __post_init__(self) -> None:
+        _require_int(self.variant, "variant")
+        if self.variant not in PREFIX_TERMS:
+            raise ValueError(f"variant must be 1 or 2, got {self.variant}")
+
+    @property
+    def prefix(self) -> tuple[tuple[int, int], ...]:
+        """(exponent, coefficient) terms peeled off before the first tail."""
+        return PREFIX_TERMS[self.variant]
 
     def reconstruct(self) -> TruncatedSeries:
         """Assemble prefix plus signed emissions into a series.
@@ -107,7 +119,7 @@ class DerivationTrace:
         Exact at this order: the residual tail's leading exponent is
         beyond it, so dropping the residual loses nothing.
         """
-        coeffs = [0] * (self.order + 1)
+        coeffs = _zeros(self.order)
         for exponent, coeff in self.prefix:
             coeffs[exponent] = coeff
         for record in self.emissions:
@@ -182,11 +194,10 @@ def expand_tail(t: TailFamily, order: int) -> TruncatedSeries:
     (-1)^(K-d) * F_K and no pass negates a list.
     """
     _require_int(order, "order")
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    out = _zeros(order)
     depth = order - t.base
     if depth < 0:
-        return TruncatedSeries((0,) * (order + 1))
+        return TruncatedSeries(tuple(out))
     d = t.step
     levels = []
     k, p = d, depth
@@ -201,7 +212,8 @@ def expand_tail(t: TailFamily, order: int) -> TruncatedSeries:
         _div_binomial_inplace(s, k)
     if not t.includes_bare_head:
         s[0] -= 1
-    return TruncatedSeries((0,) * t.base + tuple(s))
+    out[t.base:] = s
+    return TruncatedSeries(tuple(out))
 
 
 def _identity_holds(lhs: TruncatedSeries, record: EmissionRecord,
@@ -285,10 +297,4 @@ def run_telescope(variant: int, order: int) -> DerivationTrace:
     while t.leading_exponent <= order:
         record, t = next(steps)
         emissions.append(record)
-    return DerivationTrace(
-        variant=variant,
-        order=order,
-        prefix=PREFIX_TERMS[variant],
-        emissions=tuple(emissions),
-        residual=t,
-    )
+    return DerivationTrace(variant, order, emissions=tuple(emissions), residual=t)

@@ -15,24 +15,25 @@ updates in all instead of order^2/2, and a single assignment for
 k > order/2. A list without that head, which only a wrong quotient has,
 is divided in full from there on, so every step is exact.
 ``full_verification`` multiplies each sampled quotient back by the
-factors it lost and compares the result with the full product, which it
-builds as ``expand`` does, as exact coefficient lists. Each root order d
-takes one running product of rotate-and-subtract steps that decides
-every primitive d-th root at once.
+factors it lost, one shifted subtract per factor through the series
+kernel ``_add_shifted``, and compares the result with the full product,
+which it builds as ``expand`` does, as exact coefficient lists. Each
+root order d takes one running product of rotate-and-subtract steps
+whose zero test decides every primitive d-th root at once. No root is
+ever evaluated as a complex number: nothing here is floating point.
 """
 
 from __future__ import annotations
 
-import cmath
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
-from math import gcd, pi, prod
+from math import gcd
 from operator import sub
 
 from .pentagonal import closed_form_series
-from .series import (TruncatedSeries, _div_binomial_inplace,
-                     _mul_binomial_inplace, _require_int, partial_product)
+from .series import (TruncatedSeries, _add_shifted, _div_binomial_inplace,
+                     _require_int, partial_product)
 
 
 def _cascade(series: TruncatedSeries) -> Iterator[list[int]]:
@@ -75,47 +76,20 @@ def _subtract_rotated(v: list[int], k: int) -> list[int]:
     return list(map(sub, v, v[s:] + v[:s]))
 
 
-def _vanishes_at_primitive_roots(d: int, m_max: int) -> Iterator[bool]:
-    """For m = 1..m_max, whether P_m = prod_(k<=m)(1 - x^k) is 0 at zeta_d.
-
-    If P_m is 0 at a primitive d-th root, some k <= m has d | k, and x^d - 1
-    divides (1 - x^k). So P_m = 0 in Z[x]/(x^d - 1) iff it is 0 at zeta_d.
-    """
-    v = [1] + [0] * (d - 1)
-    for k in range(1, m_max + 1):
-        v = _subtract_rotated(v, k)
-        yield not any(v)
-
-
-def eval_partial_product_at_root(d: int, j: int, m: int) -> tuple[float, bool]:
-    """(|prod_(k<=m)(1 - zeta^k)|, is_zero) at zeta = exp(2*pi*i*j/d).
-
-    is_zero is exact; the float magnitude, with angles reduced mod d in
-    integers so a vanishing factor is exactly 0.0, is for information.
-    For m < d no factor vanishes, as no k <= m is a multiple of d, so
-    is_zero is False without the sweep and its list of d integers.
-    """
-    _require_int(d, "d")
-    _require_int(j, "j")
-    if d < 1:
-        raise ValueError(f"root order must be >= 1, got {d}")
-    if gcd(j, d) != 1:
-        raise ValueError(f"j = {j} is not coprime to d = {d}")
-    _require_int(m, "m")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    is_zero = False
-    if m >= d:
-        *_, is_zero = _vanishes_at_primitive_roots(d, m)
-    return abs(prod(1 - cmath.exp(2j * pi * (j * k % d) / d)
-                    for k in range(1, m + 1))), is_zero
-
-
 def _first_root_mismatch(max_d: int, m_max: int) -> tuple[int, int] | None:
-    """First (d, m) whose exact zero test at zeta_d disagrees with m >= d."""
+    """First (d, m) whose exact zero test at zeta_d disagrees with m >= d.
+
+    P_m = prod_(k<=m)(1 - x^k) is kept in Z[x]/(x^d - 1), one
+    rotate-and-subtract per factor. If P_m is 0 at a primitive d-th
+    root, some k <= m has d | k, and x^d - 1 divides (1 - x^k). So
+    P_m = 0 in Z[x]/(x^d - 1) iff it is 0 at zeta_d, and one verdict per
+    d covers every primitive d-th root.
+    """
     for d in range(1, max_d + 1):
-        for m, is_zero in enumerate(_vanishes_at_primitive_roots(d, m_max), 1):
-            if is_zero != (m >= d):
+        v = [1] + [0] * (d - 1)
+        for m in range(1, m_max + 1):
+            v = _subtract_rotated(v, m)
+            if any(v) == (m >= d):
                 return d, m
     return None
 
@@ -168,7 +142,7 @@ def full_verification(order: int, roots_max_d: int = 12) -> list[CheckResult]:
             # the default start: a wrong quotient has no head to skip
             restored = q[:]
             for k in range(m, 0, -1):
-                _mul_binomial_inplace(restored, k)
+                _add_shifted(restored, k, -1, restored)
             if restored != product:
                 failure = f"quotient after step {m} differs from the remaining product"
                 break

@@ -299,15 +299,22 @@ def test_bounds_above_the_index_range_exit_2(capsys, argv, name):
             in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("command", ("expand", "verify"))
-def test_an_order_no_list_can_hold_exits_2(capsys, command):
-    # both used to end in a MemoryError traceback; CPython refuses this
-    # list size before it allocates anything
-    code = main([command, "--order", str(sys.maxsize)])
+@pytest.mark.parametrize("argv", (
+    # expand and verify used to end in a MemoryError traceback, and
+    # telescope and partitions ran for minutes before allocating
+    ["expand", "--order"],
+    ["verify", "--order"],
+    ["telescope", "--variant", "1", "--order"],
+    ["telescope", "--variant", "2", "--stages", "3", "--order"],
+    ["partitions", "--upto"],
+), ids=("expand", "verify", "telescope", "telescope-stages", "partitions"))
+def test_an_order_no_list_can_hold_exits_2(capsys, argv):
+    # CPython refuses this list size before it allocates anything
+    code = main(argv + [str(sys.maxsize)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == (f"pentagon {command}: error: order: {sys.maxsize} "
+    assert captured.err == (f"pentagon {argv[0]}: error: order: {sys.maxsize} "
                             "is too large to hold\n")
 
 

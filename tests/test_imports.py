@@ -65,3 +65,38 @@ def test_only_series_imports_the_coefficient_kernel_tools():
             if names & tools:
                 users.add(path.name)
     assert users == {"series.py"}
+
+
+# math's functions that take and return ints; everything else in it is
+# floating point
+INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm"}
+
+
+def float_uses(tree):
+    """(what, line) for each way a module could compute in floating point:
+    a float or complex literal, true division, cmath, or a function of
+    math outside INTEGER_MATH, imported by name or reached as math.name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            yield f"literal {node.value!r}", node.lineno
+        elif (isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.Div)):
+            yield "true division", node.lineno
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "cmath":
+                    yield "import cmath", node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module in ("math", "cmath"):
+            for alias in node.names:
+                if node.module == "cmath" or alias.name not in INTEGER_MATH:
+                    yield f"from {node.module} import {alias.name}", node.lineno
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "math" and node.attr not in INTEGER_MATH):
+            yield f"math.{node.attr}", node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_nothing_in_the_core_is_floating_point(path):
+    # every verdict the package prints is decided in exact integers
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [f"{what} (line {line})" for what, line in float_uses(tree)] == []

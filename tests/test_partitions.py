@@ -11,7 +11,6 @@ from pentagon.partitions import (
     partitions_oracle_dp,
     partitions_recurrence,
     reciprocal_series,
-    recurrence_support,
 )
 from pentagon.pentagonal import (
     closed_form_series,
@@ -56,13 +55,10 @@ def test_table_rejects_indices_outside_0_to_max_n(index, error, message):
 
 
 def test_recurrence_rejects_negative():
-    with pytest.raises(ValueError):
-        partitions_recurrence(-1)
-    with pytest.raises(ValueError):
-        partitions_oracle_dp(-2)
-    # used to say "order must be >= 0", the name inside pentagonal_terms_upto
     with pytest.raises(ValueError, match="^n_max must be >= 0, got -1$"):
-        recurrence_support(-1)
+        partitions_recurrence(-1)
+    with pytest.raises(ValueError, match="^n_max must be >= 0, got -2$"):
+        partitions_oracle_dp(-2)
 
 
 def test_dp_examples():
@@ -152,7 +148,6 @@ def test_recurrence_is_one_sparse_division_by_the_closed_form(monkeypatch, funct
     (partitions_recurrence, (2.0,), "n_max must be an int, got 2.0"),
     (partitions_enumerate, (True,), "n must be an int, got True"),
     (partitions_enumerate, (2.5,), "n must be an int, got 2.5"),
-    (recurrence_support, (3.0,), "n_max must be an int, got 3.0"),
     (reciprocal_series, (2.0,), "order must be an int, got 2.0"),
 ), ids=lambda value: value.__name__ if callable(value) else None)
 def test_entry_points_reject_arguments_that_are_not_ints(function, args, message):
@@ -205,31 +200,28 @@ def test_table_rejects_no_entries_and_entries_that_are_not_ints(values, message)
         PartitionTable(values)
 
 
-def test_recurrence_support_is_sparse_and_sorted():
-    support = recurrence_support(100)
-    offsets = [g for g, _ in support]
+def test_recurrence_offsets_are_sparse_and_sorted():
+    # p(n) reads p(n - e) only at the closed form's exponents e above 0
+    offsets = [g for g, _ in pentagonal_terms_upto(100)[1:]]
     assert offsets == sorted(offsets)
     expected = []
     k = 1
     while g_minus(k) <= 100:
-        if g_minus(k) <= 100:
-            expected.append(g_minus(k))
+        expected.append(g_minus(k))
         if g_plus(k) <= 100:
             expected.append(g_plus(k))
         k += 1
     assert sorted(expected) == offsets
-    assert len(support) == 16
-    for n in range(401):
-        assert recurrence_support(n) == [
-            (e, -s) for e, s in pentagonal_terms_upto(n)[1:]]
+    assert len(offsets) == 16
 
 
-def test_recurrence_support_signs_alternate_in_pairs():
-    support = recurrence_support(300)
-    by_offset = dict(support)
+def test_recurrence_signs_alternate_in_pairs():
+    # the divisor's terms carry (-1)^k, so p(n) adds the terms of pair k
+    # for odd k and subtracts them for even k
+    by_offset = dict(pentagonal_terms_upto(300)[1:])
     k = 1
     while g_minus(k) <= 300:
-        expected = 1 if k % 2 else -1
+        expected = -1 if k % 2 else 1
         assert by_offset[g_minus(k)] == expected
         if g_plus(k) <= 300:
             assert by_offset[g_plus(k)] == expected
@@ -238,7 +230,7 @@ def test_recurrence_support_signs_alternate_in_pairs():
 
 def test_support_size_grows_like_sqrt():
     for n in (100, 400, 1600, 6400):
-        count = len(recurrence_support(n))
+        count = len(pentagonal_terms_upto(n)[1:])
         # both pentagonal branches contribute about sqrt(2n/3) offsets each
         estimate = 2 * (2 * n / 3) ** 0.5
         assert estimate - 4 <= count <= estimate + 4

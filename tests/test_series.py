@@ -7,14 +7,15 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import pentagon.series
-from pentagon.pentagonal import pentagonal_terms_upto
+from pentagon.partitions import (partitions_oracle_dp, partitions_recurrence,
+                                 reciprocal_series)
+from pentagon.pentagonal import closed_form_series, pentagonal_terms_upto
 from pentagon.series import (
     TruncatedSeries,
+    _add_shifted,
     _div_binomial_inplace,
     _div_sparse_inplace,
     _divisor_sums,
-    _mul_binomial_inplace,
-    _times_sparse,
     add,
     div_binomial,
     format_series,
@@ -30,6 +31,7 @@ from pentagon.series import (
     to_dense_json,
     to_sparse_json,
 )
+from pentagon.telescope import DerivationTrace, expand_tail, initial_tail
 
 
 @st.composite
@@ -241,15 +243,17 @@ def test_binomial_wrappers_reject_arguments_that_are_not_ints(function, args, me
 
 
 @given(kernel_cases())
-def test_mul_binomial_kernel_matches_the_literal_loop(case):
+def test_add_shifted_times_one_minus_x_k_matches_the_literal_loop(case):
+    # the multiply-back passes the list itself as the shifted source
     coeffs, k = case
     expected = literal_mul_binomial(coeffs, k)
-    _mul_binomial_inplace(coeffs, k)
+    assert list(mul_binomial(TruncatedSeries(tuple(coeffs)), k, -1).coeffs) == expected
+    _add_shifted(coeffs, k, -1, coeffs)
     assert coeffs == expected
 
 
 @given(kernel_cases(), st.data())
-def test_mul_binomial_kernel_from_a_later_start_finishes_the_product(case, data):
+def test_add_shifted_from_a_later_start_finishes_the_product(case, data):
     # zeros k below start - k..start - 1 leave those entries as they are,
     # and the entries below start already hold the product
     coeffs, k = case
@@ -259,41 +263,28 @@ def test_mul_binomial_kernel_from_a_later_start_finishes_the_product(case, data)
     expected = literal_mul_binomial(coeffs, k)
     assert expected[start - k:start] == coeffs[start - k:start]
     coeffs[:start] = expected[:start]
-    _mul_binomial_inplace(coeffs, k, start)
+    _add_shifted(coeffs, start, -1, coeffs[start - k:])
     assert coeffs == expected
 
 
-def spy_on_mul_kernel(monkeypatch):
-    """Record the arguments after the list of every multiply-kernel call."""
+def spy_on_add_shifted(monkeypatch):
+    """Record (e, c) of every call to the multiplication kernel."""
     calls = []
-    original = pentagon.series._mul_binomial_inplace
+    original = pentagon.series._add_shifted
 
-    def recorded(coeffs, *args):
-        calls.append(args)
-        original(coeffs, *args)
+    def recorded(out, e, c, a):
+        calls.append((e, c))
+        original(out, e, c, a)
 
-    monkeypatch.setattr(pentagon.series, "_mul_binomial_inplace", recorded)
+    monkeypatch.setattr(pentagon.series, "_add_shifted", recorded)
     return calls
-
-
-def test_full_product_calls_no_multiply_or_division_kernel(monkeypatch):
-    # the full product is read off its logarithmic derivative; only a
-    # partial range sweeps
-    reference = ascending_product_range(1, 300, 300)
-    calls = []
-    for name in ("_mul_binomial_inplace", "_times_sparse", "_div_sparse_inplace"):
-        monkeypatch.setattr(pentagon.series, name,
-                            lambda *args, name=name: calls.append(name))
-    assert product_range(1, 300, 300).coeffs == reference
-    partial_product(2000, 2000)
-    assert calls == []
 
 
 def test_partial_range_sweep_starts_every_factor_at_2k_plus_1(monkeypatch):
     reference = ascending_product_range(5, 40, 60)
-    calls = spy_on_mul_kernel(monkeypatch)
+    calls = spy_on_add_shifted(monkeypatch)
     assert product_range(5, 40, 60).coeffs == reference
-    assert calls == [(k, 2 * k + 1) for k in range(40, 4, -1)]
+    assert calls == [(2 * k + 1, -1) for k in range(40, 4, -1)]
 
 
 @given(kernel_cases())
@@ -337,9 +328,9 @@ def test_div_binomial_kernel_on_both_sides_of_the_stride_switch(k, length, start
 
 @given(series(max_order=40, coeff_bound=10**30),
        st.dictionaries(st.integers(0, 45),
-                       st.one_of(st.sampled_from((-1, 0, 1)),
-                                 st.integers(-10**40, 10**40))))
-def test_times_sparse_matches_literal_mul(a, terms):
+                       st.one_of(st.sampled_from((-1, 1)),
+                                 st.integers(-10**40, 10**40).filter(bool))))
+def test_add_shifted_passes_sum_to_literal_mul(a, terms):
     # the terms built densely; any coefficient counts, not only +-1, and
     # an exponent past the order adds nothing
     dense = [0] * len(a.coeffs)
@@ -347,19 +338,22 @@ def test_times_sparse_matches_literal_mul(a, terms):
         if e <= a.order:
             dense[e] = c
     expected = literal_mul(a.coeffs, dense)
-    assert _times_sparse(a.coeffs, terms.items()) == expected
-    assert _times_sparse(list(a.coeffs), terms.items()) == expected
+    for source in (a.coeffs, list(a.coeffs)):
+        out = [0] * len(a.coeffs)
+        for e, c in terms.items():
+            _add_shifted(out, e, c, source)
+        assert out == expected
 
 
 @given(series(max_order=40, coeff_bound=10**30),
        series(max_order=20, coeff_bound=10**30))
-def test_times_sparse_multiplies_in_a_series_at_x_squared(a, b):
+def test_mul_skips_the_zeros_of_a_series_at_x_squared(a, b):
     # a series at x^2: its (2e, c) terms, every other exponent skipped
     dilated = [0] * len(a.coeffs)
     for e, c in enumerate(b.coeffs[:a.order // 2 + 1]):
         dilated[2 * e] = c
-    terms = [(2 * e, c) for e, c in b.nonzero_terms()]
-    assert _times_sparse(a.coeffs, terms) == literal_mul(a.coeffs, dilated)
+    expected = literal_mul(a.coeffs, dilated)
+    assert list(mul(TruncatedSeries(tuple(dilated)), a).coeffs) == expected
 
 
 # two offsets of the same sign arriving at different m, so a kernel that
@@ -477,18 +471,16 @@ def test_full_product_path_matches_the_ascending_chain():
 
 def test_full_product_pushes_once_per_nonzero_coefficient(monkeypatch):
     # each nonzero p_n adds p_n * sigma into the running sums from x^(n+1):
-    # one pass per generalized pentagonal number 1..2000 and no other
-    pushes = []
-    original = pentagon.series._add_shifted
-
-    def recorded(out, e, c, a):
-        pushes.append((e, c))
-        original(out, e, c, a)
-
-    monkeypatch.setattr(pentagon.series, "_add_shifted", recorded)
-    partial_product(2000, 2000)
-    expected = [(e + 1, c) for e, c in pentagonal_terms_upto(2000)[1:]]
-    assert pushes == expected
+    # one pass per generalized pentagonal number 1..N and no other, so no
+    # sweep pass; and no division kernel runs
+    pushes = spy_on_add_shifted(monkeypatch)
+    for name in ("_div_binomial_inplace", "_div_sparse_inplace"):
+        monkeypatch.setattr(pentagon.series, name,
+                            lambda *args, name=name: pushes.append(name))
+    for order in (300, 2000):
+        pushes.clear()
+        partial_product(order, order)
+        assert pushes == [(e + 1, c) for e, c in pentagonal_terms_upto(order)[1:]]
 
 
 def plain_divisor_sum(n):
@@ -524,6 +516,25 @@ def test_an_order_no_list_can_hold_is_named_not_a_memory_error():
                            (partial_product, (sys.maxsize, sys.maxsize))):
         with pytest.raises(ValueError, match=message):
             function(*args)
+
+
+@pytest.mark.parametrize("function, args", (
+    (make_series, ([1], 2**62)),
+    (one, (2**62,)),
+    (monomial, (2**62, 2**62)),
+    (closed_form_series, (2**62,)),
+    (reciprocal_series, (2**62,)),
+    (partitions_recurrence, (2**62,)),
+    (partitions_oracle_dp, (2**62,)),
+    (expand_tail, (initial_tail(1), 2**62)),
+    (DerivationTrace(1, 2**62, (), initial_tail(1)).reconstruct, ()),
+), ids=lambda value: value.__name__ if callable(value) else None)
+def test_every_order_sized_list_names_an_order_no_list_can_hold(function, args):
+    # most raised a MemoryError with an empty message, and expand_tail
+    # ran its level loop first, about 4e9 times at sys.maxsize; CPython
+    # refuses this size before allocating
+    with pytest.raises(ValueError, match=f"^order: {2**62} is too large to hold$"):
+        function(*args)
 
 
 def test_product_range_splits_partial_product():

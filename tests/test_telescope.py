@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 import pentagon.telescope
 from pentagon.pentagonal import closed_form_series, g_minus, g_plus
-from pentagon.series import _mul_binomial_inplace, format_series
+from pentagon.series import TruncatedSeries, format_series, mul_binomial
 from pentagon.telescope import (
     PREFIX_TERMS,
+    DerivationTrace,
     EmissionRecord,
     StageVerificationError,
     TailFamily,
@@ -107,13 +108,13 @@ def horner_tail(t: TailFamily, order: int) -> tuple[int, ...]:
     depth = order - t.base
     if depth < 0:
         return (0,) * (order + 1)
-    s = [1] + [0] * (depth % t.step)
+    s = (1,) + (0,) * (depth % t.step)
     for j in range(depth // t.step - 1, -1, -1):
-        _mul_binomial_inplace(s, t.step + j)
-        s[:0] = [1] + [0] * (t.step - 1)
+        s = mul_binomial(TruncatedSeries(s), t.step + j, -1).coeffs
+        s = (1,) + (0,) * (t.step - 1) + s
     if not t.includes_bare_head:
-        s[0] -= 1
-    return (0,) * t.base + tuple(s)
+        s = (s[0] - 1,) + s[1:]
+    return (0,) * t.base + s
 
 
 @st.composite
@@ -379,6 +380,11 @@ def test_variants_emit_identical_term_multisets(order):
     (lambda: run_telescope(1, 1), "order must be >= 2, got 1"),
     (lambda: initial_tail(3), "variant must be 1 or 2, got 3"),
     (lambda: initial_tail(1.0), "variant must be an int, got 1.0"),
+    # the prefix is read from the variant, so a trace checks it when built
+    (lambda: DerivationTrace(3, 12, (), initial_tail(1)),
+     "variant must be 1 or 2, got 3"),
+    (lambda: DerivationTrace(True, 12, (), initial_tail(1)),
+     "variant must be an int, got True"),
     (lambda: TailFamily(1, 0, 1, 1, False), "stage, base and step must all be >= 1"),
 ))
 def test_entry_points_name_the_argument_they_reject(call, message):

@@ -15,11 +15,7 @@ from pentagon.series import (
     partial_product,
     product_range,
 )
-from pentagon.verify import (
-    CheckResult,
-    eval_partial_product_at_root,
-    full_verification,
-)
+from pentagon.verify import CheckResult, _first_root_mismatch, full_verification
 
 
 def cascade_quotients(order):
@@ -102,101 +98,27 @@ def test_cascade_ends_at_unity():
         assert last == list(one(order).coeffs)
 
 
-@pytest.mark.parametrize("d", (0, -3))
-def test_eval_rejects_a_root_order_below_1(d):
-    with pytest.raises(ValueError, match=f"^root order must be >= 1, got {d}$"):
-        eval_partial_product_at_root(d, 1, 3)
-
-
-def test_eval_accepts_exactly_the_primitive_indices():
-    def accepted(d):
-        js = []
-        for j in range(1, d + 1):
-            try:
-                eval_partial_product_at_root(d, j, 1)
-            except ValueError:
-                continue
-            js.append(j)
-        return js
-
-    assert accepted(1) == [1]
-    assert accepted(12) == [1, 5, 7, 11]
-    with pytest.raises(ValueError, match="^j = 3 is not coprime to d = 6$"):
-        eval_partial_product_at_root(6, 3, 1)
-
-
-@pytest.mark.parametrize("args, message", (
-    ((True, 1, 3), "d must be an int, got True"),
-    ((2.0, 1, 3), "d must be an int, got 2.0"),
-    ((5, 2.0, 3), "j must be an int, got 2.0"),
-    ((3, 1, 2.0), "m must be an int, got 2.0"),
-    ((5, True, 3), "j must be an int, got True"),
-    ((3, 1, True), "m must be an int, got True"),
-    ((3, 1, 0), "m must be >= 1, got 0"),
-))
-def test_eval_rejects_arguments_that_are_not_ints(args, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        eval_partial_product_at_root(*args)
-
-
-def test_eval_examples():
-    magnitude, is_zero = eval_partial_product_at_root(2, 1, 1)
-    assert magnitude == pytest.approx(2.0)
-    assert not is_zero
-    magnitude, is_zero = eval_partial_product_at_root(2, 1, 2)
-    assert magnitude == 0.0
-    assert is_zero
-    _, is_zero = eval_partial_product_at_root(3, 1, 5)
-    assert is_zero
-
-
-def test_eval_rejects_non_primitive_index():
-    with pytest.raises(ValueError):
-        eval_partial_product_at_root(4, 2, 3)
-    with pytest.raises(ValueError):
-        eval_partial_product_at_root(0, 1, 3)
-
-
-def test_eval_zero_iff_enough_factors():
-    for d in range(1, 9):
-        for j in range(1, d + 1):
-            if math.gcd(j, d) != 1:
-                continue
-            for m in range(1, 17):
-                _, is_zero = eval_partial_product_at_root(d, j, m)
-                assert is_zero == (m >= d), (d, j, m)
-
-
-def test_eval_below_the_root_order_needs_no_list_of_d_entries():
-    # the sweep's list of 2**61 integers used to raise MemoryError; with
-    # m < d no factor can vanish, and the magnitude is a product of m terms
-    magnitude, is_zero = eval_partial_product_at_root(2**61, 1, 1)
-    assert magnitude > 0.0
-    assert not is_zero
-
-
 def test_exact_zero_test_holds_exactly_from_m_equal_d():
     # P_m = 0 in Z[x]/(x^d - 1) exactly from m = d on, for every d <= 60
-    for d in range(1, 61):
-        zeros = list(pentagon.verify._vanishes_at_primitive_roots(d, 2 * d))
-        assert zeros == [m >= d for m in range(1, 2 * d + 1)], d
+    # and m <= 120; one verdict per d covers every primitive d-th root
+    assert _first_root_mismatch(60, 120) is None
 
 
-def test_eval_at_one_matches_product_value():
-    # at d=1 the root is x=1 and every factor vanishes
-    magnitude, is_zero = eval_partial_product_at_root(1, 1, 4)
-    assert magnitude == 0.0 and is_zero
+def test_first_root_mismatch_names_a_zero_before_m_reaches_d(monkeypatch):
+    # the other direction from a skipped factor: a product that reads 0
+    # at zeta_5 after only three factors
+    original = pentagon.verify._subtract_rotated
 
+    def zero_at_5_3(v, k):
+        return [0] * 5 if (len(v), k) == (5, 3) else original(v, k)
 
-def test_eval_magnitude_matches_direct_evaluation():
-    for d, j, m in [(5, 2, 4), (7, 3, 5), (12, 5, 11)]:
-        zeta = complex(math.cos(2 * math.pi * j / d), math.sin(2 * math.pi * j / d))
-        direct = 1.0
-        for k in range(1, m + 1):
-            direct *= abs(1 - zeta ** k)
-        magnitude, is_zero = eval_partial_product_at_root(d, j, m)
-        assert magnitude == pytest.approx(direct, rel=1e-9)
-        assert not is_zero
+    monkeypatch.setattr(pentagon.verify, "_subtract_rotated", zero_at_5_3)
+    assert _first_root_mismatch(4, 8) is None
+    assert _first_root_mismatch(12, 24) == (5, 3)
+    closed, cascade, roots = full_verification(60, 6)
+    assert closed.passed and cascade.passed
+    assert not roots.passed
+    assert roots.detail == "zeta(d=5, j=1) at m=3: is_zero=True, expected False"
 
 
 def test_root_count_completeness():
@@ -278,14 +200,14 @@ def test_full_verification_reports_a_corrupted_product(monkeypatch):
 
 
 def test_full_verification_reports_a_corrupted_multiply_back(monkeypatch):
-    original = pentagon.verify._mul_binomial_inplace
+    original = pentagon.verify._add_shifted
 
-    def corrupt_factor_5(coeffs, k, *args):
-        original(coeffs, k, *args)
-        if k == 5:
-            coeffs[9] += 1
+    def corrupt_factor_5(out, e, c, a):
+        original(out, e, c, a)
+        if e == 5:
+            out[9] += 1
 
-    monkeypatch.setattr(pentagon.verify, "_mul_binomial_inplace", corrupt_factor_5)
+    monkeypatch.setattr(pentagon.verify, "_add_shifted", corrupt_factor_5)
     closed, cascade, roots = full_verification(60, 6)
     assert closed.passed and roots.passed
     assert not cascade.passed
@@ -294,16 +216,16 @@ def test_full_verification_reports_a_corrupted_multiply_back(monkeypatch):
 
 def test_full_verification_multiplies_each_sampled_quotient_back_in_full(monkeypatch):
     calls = []
-    original = pentagon.verify._mul_binomial_inplace
+    original = pentagon.verify._add_shifted
 
-    def recorded(coeffs, *args):
-        calls.append(args)
-        original(coeffs, *args)
+    def recorded(out, e, c, a):
+        calls.append((e, c))
+        original(out, e, c, a)
 
-    monkeypatch.setattr(pentagon.verify, "_mul_binomial_inplace", recorded)
+    monkeypatch.setattr(pentagon.verify, "_add_shifted", recorded)
     assert all(c.passed for c in full_verification(300, 6))
-    # k = m..1 after each sampled step m, from the default start
-    assert calls == [(k,) for m in (1, 5, 50) for k in range(m, 0, -1)]
+    # (1 - x^k) for k = m..1 after each sampled step m, each from x^k up
+    assert calls == [(k, -1) for m in (1, 5, 50) for k in range(m, 0, -1)]
     assert len(calls) == 1 + 5 + 50
 
 
@@ -335,14 +257,14 @@ def test_multiplicity_count_is_checked_once(monkeypatch):
 
 def test_roots_up_to_d_150_pass_where_a_float_tolerance_failed():
     # |P_20(zeta_125)| is 1.9e-8: small, but not zero
-    assert eval_partial_product_at_root(125, 1, 20)[1] is False
-    assert eval_partial_product_at_root(125, 1, 125)[1] is True
     closed, cascade, roots = full_verification(2, 150)
     assert roots.passed
     assert roots.detail == "d <= 150, m <= 300, multiplicity sums to m <= 50"
 
 
 def test_full_verification_reports_a_skipped_factor_at_a_root(monkeypatch):
+    # the same run passes with every factor swept
+    assert all(c.passed for c in full_verification(60, 6))
     original = pentagon.verify._subtract_rotated
 
     def skip_factor_6(v, k):
