@@ -17,10 +17,10 @@ is divided in full from there on, so every step is exact.
 ``full_verification`` multiplies each sampled quotient back by the
 factors it lost, one shifted subtract per factor through the series
 kernel ``_add_shifted``, and compares the result with the full product,
-which it builds as ``expand`` does, as exact coefficient lists. Each
-root order d takes one running product of rotate-and-subtract steps
-whose zero test decides every primitive d-th root at once. No root is
-ever evaluated as a complex number: nothing here is floating point.
+which it builds as ``expand`` does, as exact coefficient lists. The
+root check builds P_m = prod_(k<=m)(1 - x^k) once through the same
+kernel; summed by exponent mod d, it is exactly P_m in Z[x]/(x^d - 1).
+No root is ever evaluated as a complex number: nothing is floating point.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
 from math import gcd
-from operator import sub
 
 from .pentagonal import closed_form_series
 from .series import (TruncatedSeries, _add_shifted, _div_binomial_inplace,
@@ -70,27 +69,26 @@ def _cascade(series: TruncatedSeries) -> Iterator[list[int]]:
         yield coeffs
 
 
-def _subtract_rotated(v: list[int], k: int) -> list[int]:
-    """v * (1 - x^k) in Z[x]/(x^d - 1), d = len(v): v minus v rotated by k."""
-    s = len(v) - k % len(v)
-    return list(map(sub, v, v[s:] + v[:s]))
-
-
-def _first_root_mismatch(max_d: int, m_max: int) -> tuple[int, int] | None:
+def _first_root_mismatch(max_d: int) -> tuple[int, int] | None:
     """First (d, m) whose exact zero test at zeta_d disagrees with m >= d.
 
-    P_m = prod_(k<=m)(1 - x^k) is kept in Z[x]/(x^d - 1), one
-    rotate-and-subtract per factor. If P_m is 0 at a primitive d-th
-    root, some k <= m has d | k, and x^d - 1 divides (1 - x^k). So
-    P_m = 0 in Z[x]/(x^d - 1) iff it is 0 at zeta_d, and one verdict per
-    d covers every primitive d-th root.
+    P_m = prod_(k<=m)(1 - x^k) is built once, exactly, one shifted
+    subtract per factor; its sums over exponents mod d are P_m in
+    Z[x]/(x^d - 1). If P_m is 0 at a primitive d-th root, some k <= m
+    has d | k, and x^d - 1 divides (1 - x^k). So P_m = 0 in
+    Z[x]/(x^d - 1) iff it is 0 at zeta_d, and one verdict per d covers
+    every primitive d-th root. P_m divides P_(m+1), so a zero at m stays
+    zero above m and a nonzero at m was nonzero below it: the verdicts
+    at m = d - 1 and m = d decide every m.
     """
+    product = [1]
     for d in range(1, max_d + 1):
-        v = [1] + [0] * (d - 1)
-        for m in range(1, m_max + 1):
-            v = _subtract_rotated(v, m)
-            if any(v) == (m >= d):
-                return d, m
+        if not any(sum(product[r::d]) for r in range(d)):
+            return d, d - 1
+        product += [0] * d
+        _add_shifted(product, d, -1, product)
+        if any(sum(product[r::d]) for r in range(d)):
+            return d, d
     return None
 
 
@@ -151,8 +149,7 @@ def full_verification(order: int, roots_max_d: int = 12) -> list[CheckResult]:
     results.append(CheckResult("division cascade", failure is None, failure or (
         f"order {order}, final quotient 1, intermediates at {sampled}")))
 
-    m_max = 2 * roots_max_d
-    mismatch = _first_root_mismatch(roots_max_d, m_max)
+    mismatch = _first_root_mismatch(roots_max_d)
     count_bad = _multiplicity_count_mismatch()
     if mismatch is not None:
         d, m = mismatch
@@ -160,7 +157,8 @@ def full_verification(order: int, roots_max_d: int = 12) -> list[CheckResult]:
     elif count_bad is not None:
         detail = f"multiplicity count mismatch at m={count_bad}"
     else:
-        detail = f"d <= {roots_max_d}, m <= {m_max}, multiplicity sums to m <= 50"
+        detail = (f"d <= {roots_max_d}, m <= {2 * roots_max_d}, "
+                  "multiplicity sums to m <= 50")
     results.append(CheckResult(
         "root structure", mismatch is None and count_bad is None, detail))
 

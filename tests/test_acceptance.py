@@ -112,7 +112,7 @@ def test_criterion_7_root_structure():
     with verdict(7, "is_zero iff m >= d for d <= 12, m <= 24; multiplicity "
                     "count is complete for m <= 50"):
         # one exact verdict per d covers every primitive d-th root
-        assert _first_root_mismatch(12, 24) is None
+        assert _first_root_mismatch(12) is None
         for m in range(1, 51):
             total = sum(
                 sum(1 for j in range(1, d + 1) if math.gcd(j, d) == 1)

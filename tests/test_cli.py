@@ -13,6 +13,7 @@ import pytest
 import pentagon
 import pentagon.cli
 from pentagon.cli import main
+from pentagon.pentagonal import g_minus, g_plus
 from pentagon.series import partial_product, series_from_json
 from pentagon.verify import CheckResult
 
@@ -148,6 +149,24 @@ def test_telescope_stages_order_below_floor_exits_2(capsys):
     assert code == 2
     assert captured.out == ""
     assert "stage 8 needs order >= 126" in captured.err
+
+
+@pytest.mark.parametrize("variant, stage, needed", (
+    (1, sys.maxsize, g_plus(sys.maxsize + 1)),
+    (2, sys.maxsize + 1, g_minus(sys.maxsize + 2)),
+), ids=("variant-1", "variant-2"))
+def test_telescope_huge_stages_below_floor_exit_2_at_once(capsys, variant,
+                                                          stage, needed):
+    # the check used to walk every stage first: 8.4 s for a million
+    # stages, and no end at all for this many
+    code = main(["telescope", "--variant", str(variant),
+                 "--stages", str(sys.maxsize), "--order", "2500"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"pentagon telescope: error: stage {stage} needs order >= {needed} "
+        "(its next tail's leading exponent), got 2500\n")
 
 
 def test_partitions_text_and_csv(capsys):

@@ -67,6 +67,20 @@ def test_only_series_imports_the_coefficient_kernel_tools():
     assert users == {"series.py"}
 
 
+def test_only_series_imports_operator():
+    # series builds its kernels from operator's add and sub; matched by
+    # module, as __init__ re-exports the ring ops under those same names
+    users = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if ((isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module == "operator")
+                    or (isinstance(node, ast.Import)
+                        and any(alias.name == "operator" for alias in node.names))):
+                users.add(path.name)
+    assert users == {"series.py"}
+
+
 # math's functions that take and return ints; everything else in it is
 # floating point
 INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm"}

@@ -385,6 +385,9 @@ def test_variants_emit_identical_term_multisets(order):
      "variant must be 1 or 2, got 3"),
     (lambda: DerivationTrace(True, 12, (), initial_tail(1)),
      "variant must be an int, got True"),
+    # reconstruct used to raise a bare TypeError from the list multiply
+    (lambda: DerivationTrace(1, 5.0, (), initial_tail(1)),
+     "order must be an int, got 5.0"),
     (lambda: TailFamily(1, 0, 1, 1, False), "stage, base and step must all be >= 1"),
 ))
 def test_entry_points_name_the_argument_they_reject(call, message):
@@ -424,6 +427,23 @@ def test_replay_stages_rejects_order_below_last_stage(monkeypatch, variant,
         with pytest.raises(ValueError,
                            match=f"stage {last_stage} needs order >= {needed}"):
             replay_stages(variant, 8, order)
+
+
+@pytest.mark.parametrize("variant", (1, 2))
+def test_replay_stages_finds_the_last_tail_in_closed_form(monkeypatch, variant):
+    # the order check agrees with a walk of reduce_step at every count;
+    # no stage runs, so only the check can raise
+    monkeypatch.setattr(pentagon.telescope, "_verified_stages",
+                        lambda t, order: iter(()))
+    t = initial_tail(variant)
+    for stages in range(1, 41):
+        _, t = reduce_step(t)
+        needed = t.leading_exponent
+        assert replay_stages(variant, stages, needed) == []
+        with pytest.raises(ValueError, match=(
+                f"^stage {t.stage - 1} needs order >= {needed} "
+                rf"\(its next tail's leading exponent\), got {needed - 1}$")):
+            replay_stages(variant, stages, needed - 1)
 
 
 def test_replay_stages_detects_broken_step(broken_reduce_step):

@@ -18,6 +18,12 @@ from pentagon.series import (
 from pentagon.verify import CheckResult, _first_root_mismatch, full_verification
 
 
+def root_product_call(out, e):
+    """Whether an ``_add_shifted`` call applies factor e to the root
+    product, which holds P_(e-1) and e zeros: e(e + 1)/2 + 1 entries."""
+    return len(out) == e * (e + 1) // 2 + 1
+
+
 def cascade_quotients(order):
     """Copies of the closed form's quotients after steps 0..order."""
     return [q[:] for q in pentagon.verify._cascade(closed_form_series(order))]
@@ -99,26 +105,28 @@ def test_cascade_ends_at_unity():
 
 
 def test_exact_zero_test_holds_exactly_from_m_equal_d():
-    # P_m = 0 in Z[x]/(x^d - 1) exactly from m = d on, for every d <= 60
-    # and m <= 120; one verdict per d covers every primitive d-th root
-    assert _first_root_mismatch(60, 120) is None
+    # P_m = 0 in Z[x]/(x^d - 1) exactly from m = d on, for every d <= 60;
+    # one verdict per d covers every primitive d-th root
+    assert _first_root_mismatch(60) is None
 
 
 def test_first_root_mismatch_names_a_zero_before_m_reaches_d(monkeypatch):
-    # the other direction from a skipped factor: a product that reads 0
-    # at zeta_5 after only three factors
-    original = pentagon.verify._subtract_rotated
+    # the other direction from a skipped factor: a root product that is 0
+    # after factor 4, reported where d = 5 first tests it
+    original = pentagon.verify._add_shifted
 
-    def zero_at_5_3(v, k):
-        return [0] * 5 if (len(v), k) == (5, 3) else original(v, k)
+    def zero_after_4(out, e, c, a):
+        original(out, e, c, a)
+        if e == 4 and root_product_call(out, e):
+            out[:] = [0] * len(out)
 
-    monkeypatch.setattr(pentagon.verify, "_subtract_rotated", zero_at_5_3)
-    assert _first_root_mismatch(4, 8) is None
-    assert _first_root_mismatch(12, 24) == (5, 3)
+    monkeypatch.setattr(pentagon.verify, "_add_shifted", zero_after_4)
+    assert _first_root_mismatch(4) is None
+    assert _first_root_mismatch(12) == (5, 4)
     closed, cascade, roots = full_verification(60, 6)
     assert closed.passed and cascade.passed
     assert not roots.passed
-    assert roots.detail == "zeta(d=5, j=1) at m=3: is_zero=True, expected False"
+    assert roots.detail == "zeta(d=5, j=1) at m=4: is_zero=True, expected False"
 
 
 def test_root_count_completeness():
@@ -204,7 +212,7 @@ def test_full_verification_reports_a_corrupted_multiply_back(monkeypatch):
 
     def corrupt_factor_5(out, e, c, a):
         original(out, e, c, a)
-        if e == 5:
+        if e == 5 and not root_product_call(out, e):
             out[9] += 1
 
     monkeypatch.setattr(pentagon.verify, "_add_shifted", corrupt_factor_5)
@@ -224,9 +232,11 @@ def test_full_verification_multiplies_each_sampled_quotient_back_in_full(monkeyp
 
     monkeypatch.setattr(pentagon.verify, "_add_shifted", recorded)
     assert all(c.passed for c in full_verification(300, 6))
-    # (1 - x^k) for k = m..1 after each sampled step m, each from x^k up
-    assert calls == [(k, -1) for m in (1, 5, 50) for k in range(m, 0, -1)]
-    assert len(calls) == 1 + 5 + 50
+    # (1 - x^k) for k = m..1 after each sampled step m, each from x^k up,
+    # then one pass per factor of the root product, none repeated per d
+    assert calls == ([(k, -1) for m in (1, 5, 50) for k in range(m, 0, -1)]
+                     + [(d, -1) for d in range(1, 7)])
+    assert len(calls) == 1 + 5 + 50 + 6
 
 
 def test_full_verification_divides_once_per_factor(monkeypatch):
@@ -265,12 +275,13 @@ def test_roots_up_to_d_150_pass_where_a_float_tolerance_failed():
 def test_full_verification_reports_a_skipped_factor_at_a_root(monkeypatch):
     # the same run passes with every factor swept
     assert all(c.passed for c in full_verification(60, 6))
-    original = pentagon.verify._subtract_rotated
+    original = pentagon.verify._add_shifted
 
-    def skip_factor_6(v, k):
-        return v if k == 6 else original(v, k)
+    def skip_factor_6(out, e, c, a):
+        if not (e == 6 and root_product_call(out, e)):
+            original(out, e, c, a)
 
-    monkeypatch.setattr(pentagon.verify, "_subtract_rotated", skip_factor_6)
+    monkeypatch.setattr(pentagon.verify, "_add_shifted", skip_factor_6)
     closed, cascade, roots = full_verification(60, 6)
     assert closed.passed and cascade.passed
     assert not roots.passed
