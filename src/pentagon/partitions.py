@@ -81,8 +81,9 @@ def partitions_oracle_dp(n_max: int) -> PartitionTable:
     Before part k the list is 1/prod_(j>k)(1 - x^j) = 1 + O(x^(k+1)), so
     q_i = a_i + q_(i-k) sets x^k to 1 and leaves x^(k+1)..x^(2k-1) as they
     are; the first entry that reads a nonzero one is x^(2k), which reads
-    q_k = 1, so the division starts there. Shares nothing with the
-    recurrence: no pentagonal numbers, no subtraction.
+    q_k = 1, so the division starts there: part k is one C-level pass
+    of n_max - 2k + 1 additions, about n_max^2/4 in all. Shares nothing
+    with the recurrence: no pentagonal numbers, no subtraction.
     """
     _require_int(n_max, "n_max")
     if n_max < 0:

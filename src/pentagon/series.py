@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import count, islice, repeat
+from math import isqrt
 from operator import add as _int_add, itemgetter, sub as _int_sub
 from typing import Any, Iterable
 
@@ -167,30 +168,25 @@ def mul_binomial(a: TruncatedSeries, k: int, c: int) -> TruncatedSeries:
 def _div_binomial_inplace(coeffs: list[int], k: int, start: int | None = None) -> None:
     """coeffs /= (1 - x^k) modulo x^len(coeffs): q_i = a_i + q_(i-k).
 
-    Updates begin at ``start``, by default k, below which q_i = a_i. A
-    later start is exact when every entry below it already holds q_i:
+    Updates begin at ``start`` >= k, by default k, below which q_i = a_i.
+    A later start is exact when every entry below it already holds q_i:
     the verify cascade passes 2k + 1 for a list 1 + 0*x + ... + 0*x^k +
-    O(x^(k+1)), whose q_i is a_i + 0 up to x^(2k), so its first block
-    reads x^(k+1)..x^(2k) as is. The partition oracle passes 2k for a
-    list 1 + O(x^(k+1)) whose x^k it has just set to 1, so q_i = a_i up
-    to x^(2k-1).
+    O(x^(k+1)), whose q_i is a_i + 0 up to x^(2k). The partition oracle
+    passes 2k for a list 1 + O(x^(k+1)) whose x^k it has just set to 1,
+    so q_i = a_i up to x^(2k-1); ``expand_tail`` passes k past a head.
 
-    Two paths do the same updates, chosen by k * k against the length n.
-    When k * k < n, each residue class mod k is a running sum: for j in
-    start - k..start - 1, ``accumulate`` rewrites coeffs[j::k], whose
-    first entry is already the quotient's. Otherwise block [i, i+k)
-    needs only the block before it, which is already the quotient, so
-    each block is one C-level map. Either way a step costs
-    min(k, n/k) Python-level iterations.
+    One C-level pass: the entries from start are cut off, and ``extend``
+    appends each a_i + q_(i-k), read through an iterator over the list
+    itself. A list iterator checks the list's length at every step, so
+    it reaches each q_i k entries after ``extend`` appends it. A start
+    below k raises ValueError, as q_(start-k) would not exist.
     """
     if start is None:
         start = k
-    if k * k < len(coeffs):
-        for j in range(start - k, start):
-            coeffs[j::k] = accumulate(coeffs[j::k])
-    else:
-        for i in range(start, len(coeffs), k):
-            coeffs[i:i + k] = map(_int_add, coeffs[i:i + k], coeffs[i - k:i])
+    back = islice(coeffs, start - k, None)
+    rest = coeffs[start:]
+    del coeffs[start:]
+    coeffs.extend(map(_int_add, rest, back))
 
 
 def div_binomial(a: TruncatedSeries, k: int) -> TruncatedSeries:
@@ -247,12 +243,14 @@ def _zeros(order: int) -> list[int]:
 def _divisor_sums(n: int) -> list[int]:
     """sigma(0..n): entry m is the sum of the divisors of m, and entry 0 is 0.
 
-    A sieve with one C-level pass per divisor d, adding d to every
-    multiple of d.
+    A sieve over the divisor pairs t * j = m with t <= j, so t <= sqrt(n):
+    two C-level passes per t, one adding t to every m = t*j with j >= t,
+    one adding the cofactor j to every m = t*j with j > t.
     """
     sums = [0] * (n + 1)
-    for d in range(1, n + 1):
-        sums[d::d] = map(_int_add, sums[d::d], repeat(d))
+    for t in range(1, isqrt(n) + 1):
+        sums[t * t::t] = map(_int_add, sums[t * t::t], repeat(t))
+        sums[t * (t + 1)::t] = map(_int_add, sums[t * (t + 1)::t], count(t + 1))
     return sums
 
 

@@ -190,9 +190,11 @@ def expand_tail(t: TailFamily, order: int) -> TruncatedSeries:
     F_d is needed to degree p_d = order - base, and F_(K+1) only to
     p_(K+1) = p_K - d - K; F_K = 1 + O(x^K), so once p_K < K it is 1.
     That leaves about min(depth/(2d), sqrt(2*depth)) levels, with depth
-    = order - base, each one in-place division by (1 - x^K). Level K is
-    built with the opposite sign to level K + 1, so it holds
-    (-1)^(K-d) * F_K and no pass negates a list.
+    = order - base, each one in-place division by (1 - x^K) inside the
+    output list: level K is its suffix from order - p_K, a head, then
+    F_(K+1) from d + K past it, divided from order - p_K + K. Level K
+    gets the opposite sign to level K + 1, so it holds (-1)^(K-d) * F_K
+    and no pass negates a list.
     """
     _require_int(order, "order")
     out = _zeros(order)
@@ -206,14 +208,14 @@ def expand_tail(t: TailFamily, order: int) -> TruncatedSeries:
         levels.append((k, p))
         k, p = k + 1, p - d - k
     sign = -1 if len(levels) % 2 else 1
-    s = [sign] + [0] * p if p >= 0 else []
+    if p >= 0:
+        out[order - p] = sign
     for k, p in reversed(levels):
         sign = -sign
-        s = [sign] + [0] * min(d + k - 1, p) + s
-        _div_binomial_inplace(s, k)
+        out[order - p] = sign
+        _div_binomial_inplace(out, k, order - p + k)
     if not t.includes_bare_head:
-        s[0] -= 1
-    out[t.base:] = s
+        out[t.base] -= 1
     return TruncatedSeries(tuple(out))
 
 

@@ -7,8 +7,8 @@ unity every factor with index divisible by d vanishes, so the partial
 product over k <= m has that root with multiplicity floor(m/d). Both
 facts are decided in exact integers, the roots in Z[x]/(x^d - 1).
 
-The cascade divides a single coefficient list in place, one blockwise
-division per factor, and yields that list after each step. Before step
+The cascade divides a single coefficient list in place, one C-level
+pass per factor, and yields that list after each step. Before step
 k a correct quotient is 1 - x^k + O(x^(k+1)), so the division only
 clears x^k and updates the coefficients above x^(2k): about order^2/4
 updates in all instead of order^2/2, and a single assignment for
@@ -50,11 +50,8 @@ def _cascade(series: TruncatedSeries) -> Iterator[list[int]]:
     every step after it, so each quotient is exact for any input.
 
     On the head path the steps do about order^2/4 coefficient updates in
-    all, against order^2/2 for full divisions. The kernel picks its loop
-    per step: while k * k < order + 1, one ``accumulate`` per residue
-    class mod k (k Python-level iterations), and from there on one
-    ``map`` per block of k coefficients (about order/k iterations), so
-    no step loops more than about sqrt(order) times.
+    all, against order^2/2 for full divisions, each step one C-level
+    pass of the kernel with no Python-level loop.
     """
     coeffs = list(series.coeffs)
     yield coeffs

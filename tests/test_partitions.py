@@ -122,6 +122,14 @@ def test_dp_divides_once_per_part_largest_first_from_2k(monkeypatch, n_max):
     assert calls == [(k, 2 * k) for k in range(n_max, 0, -1)]
 
 
+def test_dp_work_budget(division_updates):
+    # from 2k part k updates 2001 - 2k entries, none once 2k > 2000:
+    # 1000 * 1000 in all, where full divisions from k would update about 2 * 10^6
+    partitions_oracle_dp(2000)
+    assert len(division_updates) == 2000
+    assert sum(division_updates) == 1_000_000
+
+
 @pytest.mark.parametrize("function", (partitions_recurrence, reciprocal_series),
                          ids=lambda function: function.__name__)
 def test_recurrence_is_one_sparse_division_by_the_closed_form(monkeypatch, function):

@@ -306,10 +306,10 @@ def test_div_binomial_kernel_from_a_later_start_finishes_the_quotient(case, data
     assert coeffs == expected
 
 
-# k * k against the list length picks the kernel's path: one length each
-# side of the switch and one on it, at every start the callers use and
-# at the top of the list and past it
-STRIDE_SWITCH_CASES = [
+# lengths k * k - 1, k * k and k * k + 1, at every start the callers use
+# and at the top of the list and past it; the one start below k, the
+# empty list's top at k = 1, must be refused
+KERNEL_START_CASES = [
     (k, k * k + offset, start)
     for k in (1, 2, 3, 5, 8)
     for offset in (-1, 0, 1)
@@ -317,13 +317,25 @@ STRIDE_SWITCH_CASES = [
 ]
 
 
-@pytest.mark.parametrize("k, length, start", STRIDE_SWITCH_CASES)
-def test_div_binomial_kernel_on_both_sides_of_the_stride_switch(k, length, start):
+@pytest.mark.parametrize("k, length, start",
+                         [case for case in KERNEL_START_CASES if case[2] >= case[0]])
+def test_div_binomial_kernel_from_every_caller_start_and_past_the_top(k, length, start):
     sample = [(-1) ** i * (7 * i * i + 3 * i + 1) for i in range(length)]
     expected = literal_div_binomial(sample, k)
     coeffs = expected[:start] + sample[start:]
     _div_binomial_inplace(coeffs, k, start)
     assert coeffs == expected
+
+
+@pytest.mark.parametrize("k, length, start",
+                         [(5, 8, 2)] + [case for case in KERNEL_START_CASES
+                                        if case[2] < case[0]])
+def test_div_binomial_kernel_refuses_a_start_below_k(k, length, start):
+    # q_(start-k) would not exist, so the list must be left as it was
+    coeffs = list(range(1, length + 1))
+    with pytest.raises(ValueError):
+        _div_binomial_inplace(coeffs, k, start)
+    assert coeffs == list(range(1, length + 1))
 
 
 @given(series(max_order=40, coeff_bound=10**30),
@@ -488,8 +500,11 @@ def plain_divisor_sum(n):
 
 
 def test_divisor_sums_match_a_plain_divisor_loop():
-    assert _divisor_sums(0) == [0]
-    assert _divisor_sums(500) == [0] + [plain_divisor_sum(n) for n in range(1, 501)]
+    # every n <= 400 ends on its own square, just past one or just below one
+    plain = [0] + [plain_divisor_sum(n) for n in range(1, 501)]
+    for n in range(401):
+        assert _divisor_sums(n) == plain[:n + 1], n
+    assert _divisor_sums(500) == plain
 
 
 @pytest.mark.parametrize("wrong", (2, 3, 97, 500))

@@ -180,18 +180,37 @@ def test_expand_tail_where_the_z_recursion_stops(step, includes_bare_head):
 
 
 def test_expand_tail_divides_once_per_level(monkeypatch):
-    divided = []
+    divided, starts = [], []
     real = pentagon.telescope._div_binomial_inplace
 
-    def spy(coeffs, k):
+    def spy(coeffs, k, start):
         divided.append(k)
-        real(coeffs, k)
+        starts.append(start)
+        real(coeffs, k, start)
 
     monkeypatch.setattr(pentagon.telescope, "_div_binomial_inplace", spy)
     # depth 2499 at step 1: p_K = 2499 - (K-1) - K(K-1)/2 stays >= K up to K = 69
     expand_tail(initial_tail(1), 2500)
     # (one step per term, as Horner did, would take 2499 steps)
     assert divided == list(range(69, 0, -1))
+    # level K sits in the output's last p_K + 1 entries and divides past its head
+    p = {1: 2499}
+    for k in range(1, 69):
+        p[k + 1] = p[k] - 1 - k
+    assert starts == [2500 - p[k] + k for k in divided]
+
+
+@pytest.mark.parametrize("run, calls, updates", [
+    (lambda: expand_tail(initial_tail(1), 2500), 69, 112_999),
+    (lambda: run_telescope(1, 2500), 1345, 1_668_669),
+    (lambda: run_telescope(2, 2500), 1276, 1_555_670),
+], ids=("expand_tail", "variant_1", "variant_2"))
+def test_telescope_division_work_budget(division_updates, run, calls, updates):
+    # level K updates only the p_K + 1 - K entries of its suffix past
+    # the first K; one entry more or less per level changes the sum
+    run()
+    assert len(division_updates) == calls
+    assert sum(division_updates) == updates
 
 
 def test_expand_tail_frozen_values():

@@ -59,6 +59,15 @@ def test_cascade_starts_every_step_of_the_closed_form_at_2k_plus_1(monkeypatch):
     assert starts == [(k, 2 * k + 1) for k in range(1, 301)]
 
 
+def test_cascade_work_budget(division_updates):
+    # from 2k + 1 step k updates N - 2k entries, N^2/4 - N/2 in all;
+    # full divisions from k would update about N^2/2
+    *_, last = pentagon.verify._cascade(closed_form_series(2000))
+    assert last == [1] + [0] * 2000
+    assert len(division_updates) == 2000
+    assert sum(division_updates) == 2000 ** 2 // 4 - 2000 // 2 == 999_000
+
+
 @st.composite
 def perturbed_closed_forms(draw):
     """The closed form at order 2..80 with up to two coefficients moved by a
