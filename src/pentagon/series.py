@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import count, islice, repeat
+from itertools import count, repeat
 from math import isqrt
 from operator import add as _int_add, itemgetter, sub as _int_sub
 from typing import Any, Iterable
@@ -171,19 +171,24 @@ def _div_binomial_inplace(coeffs: list[int], k: int, start: int | None = None) -
     Updates begin at ``start`` >= k, by default k, below which q_i = a_i.
     A later start is exact when every entry below it already holds q_i:
     the verify cascade passes 2k + 1 for a list 1 + 0*x + ... + 0*x^k +
-    O(x^(k+1)), whose q_i is a_i + 0 up to x^(2k). The partition oracle
-    passes 2k for a list 1 + O(x^(k+1)) whose x^k it has just set to 1,
-    so q_i = a_i up to x^(2k-1); ``expand_tail`` passes k past a head.
+    O(x^(k+1)), whose q_i is a_i + 0 up to x^(2k); ``expand_tail``
+    passes k past a head. The partition oracle divides from k.
 
     One C-level pass: the entries from start are cut off, and ``extend``
     appends each a_i + q_(i-k), read through an iterator over the list
-    itself. A list iterator checks the list's length at every step, so
-    it reaches each q_i k entries after ``extend`` appends it. A start
-    below k raises ValueError, as q_(start-k) would not exist.
+    itself, set to start - k in O(1) by ``__setstate__``. A list iterator
+    checks the list's length at every step, so it reaches each q_i k
+    entries after ``extend`` appends it. A start below k raises
+    ValueError before the list is touched: q_(start-k) would not exist,
+    and ``__setstate__`` would clamp a negative index to 0 (3.12 and
+    before) or leave the iterator exhausted (3.13).
     """
     if start is None:
         start = k
-    back = islice(coeffs, start - k, None)
+    if start < k:
+        raise ValueError(f"start must be >= k, got start={start}, k={k}")
+    back = iter(coeffs)
+    back.__setstate__(start - k)
     rest = coeffs[start:]
     del coeffs[start:]
     coeffs.extend(map(_int_add, rest, back))

@@ -22,7 +22,8 @@ from dataclasses import dataclass, replace
 from itertools import islice
 
 from .pentagonal import g_minus
-from .series import TruncatedSeries, _div_binomial_inplace, _require_int, _zeros
+from .series import (TruncatedSeries, _div_binomial_inplace, _int_add,
+                     _require_int, _zeros)
 
 
 class StageVerificationError(RuntimeError):
@@ -223,16 +224,21 @@ def _identity_holds(lhs: TruncatedSeries, record: EmissionRecord,
                     nxt_expansion: TruncatedSeries) -> bool:
     """tail = s1*x^e1 + s2*x^e2 - next, at the order of ``lhs``.
 
-    A longer ``nxt_expansion`` is cut to that order, which is exact.
+    Checked as tail + next - s1*x^e1 - s2*x^e2 == 0 after one C-level
+    sum. A longer ``nxt_expansion`` is cut to that order, which is
+    exact; a shorter one cannot show the identity, and ``map`` would
+    stop with it, so it fails.
     """
     order = lhs.order
-    rhs = [-c for c in nxt_expansion.coeffs[: order + 1]]
+    if nxt_expansion.order < order:
+        return False
+    total = list(map(_int_add, lhs.coeffs, nxt_expansion.coeffs))
     s1, s2 = record.tail_signs
     if record.first_exponent <= order:
-        rhs[record.first_exponent] += s1
+        total[record.first_exponent] -= s1
     if record.second_exponent <= order:
-        rhs[record.second_exponent] += s2
-    return tuple(rhs) == lhs.coeffs
+        total[record.second_exponent] -= s2
+    return not any(total)
 
 
 def _step_order(t: TailFamily, order: int | None) -> int:

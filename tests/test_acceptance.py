@@ -1,8 +1,8 @@
 """Acceptance gate: the eight headline checks, one verdict line each.
 
 Run with `pytest tests/test_acceptance.py -s` to see the verdict lines;
-criterion 8 re-derives p(0..50000) with the independent accumulation
-oracle and dominates the suite's runtime.
+criterion 8 re-derives p(0..50000) with the independent Durfee-square
+oracle, a few seconds in all.
 """
 
 import math

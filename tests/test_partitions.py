@@ -1,5 +1,7 @@
 """Partition counts: recurrence, DP oracle, enumeration, reciprocal series."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -96,10 +98,11 @@ def knapsack_ascending(n_max: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-def test_dp_matches_ascending_knapsack_for_every_small_n():
+def test_dp_matches_ascending_knapsack_for_every_small_n_and_at_2000():
     reference = knapsack_ascending(300)
     for n in range(301):
         assert partitions_oracle_dp(n).values == reference[:n + 1], n
+    assert partitions_oracle_dp(2000).values == knapsack_ascending(2000)
 
 
 @given(st.integers(301, 1500))
@@ -108,26 +111,57 @@ def test_dp_matches_ascending_knapsack_sampled(n):
     assert partitions_oracle_dp(n).values == knapsack_ascending(n)
 
 
-@pytest.mark.parametrize("n_max", (0, 1, 300))
-def test_dp_divides_once_per_part_largest_first_from_2k(monkeypatch, n_max):
+@pytest.mark.parametrize("n_max", (0, 1, 3, 4, 300))
+def test_dp_divides_twice_per_durfee_square_from_s(monkeypatch, n_max):
+    # side s: the list is cut to the n_max - s^2 + 1 entries from x^(s^2)
+    # and divided twice by (1 - x^s), for s = 1..isqrt(n_max)
     calls = []
     original = pentagon.partitions._div_binomial_inplace
 
     def recorded(coeffs, k, *args):
-        calls.append((k, *args))
+        calls.append((len(coeffs), k, *args))
         original(coeffs, k, *args)
 
     monkeypatch.setattr(pentagon.partitions, "_div_binomial_inplace", recorded)
     partitions_oracle_dp(n_max)
-    assert calls == [(k, 2 * k) for k in range(n_max, 0, -1)]
+    sides = range(1, math.isqrt(n_max) + 1)
+    assert calls == [(n_max - s * s + 1, s, s) for s in sides for _ in range(2)]
 
 
-def test_dp_work_budget(division_updates):
-    # from 2k part k updates 2001 - 2k entries, none once 2k > 2000:
-    # 1000 * 1000 in all, where full divisions from k would update about 2 * 10^6
+def test_dp_work_budget(monkeypatch, division_updates):
+    # side s updates n - s^2 + 1 - s entries twice and adds n - s^2 + 1
+    # into the total: 2 * (44 * 2001 - 29370 - 990) and 44 * 2001 - 29370
+    # for s <= 44 = isqrt(2000), where the knapsack updated 1,000,000
+    additions = []
+    add = pentagon.partitions._int_add
+
+    def counted(a, b):
+        additions.append(1)
+        return add(a, b)
+
+    monkeypatch.setattr(pentagon.partitions, "_int_add", counted)
     partitions_oracle_dp(2000)
-    assert len(division_updates) == 2000
-    assert sum(division_updates) == 1_000_000
+    assert len(division_updates) == 88
+    assert sum(division_updates) == 115_368
+    assert len(additions) == 58_674
+
+
+def test_recurrence_read_budget(monkeypatch):
+    # each offset e is read once for every m = e..n: 10001 - e reads at
+    # n = 10000 over the 162 pentagonal offsets, where a dense division
+    # by the closed form would read about n^2/2 = 5 * 10^7
+    reads = []
+    original = pentagon.partitions._div_sparse_inplace
+
+    def counted(coeffs, terms):
+        terms = list(terms)
+        reads.extend(max(0, len(coeffs) - e) for e, _ in terms)
+        original(coeffs, terms)
+
+    monkeypatch.setattr(pentagon.partitions, "_div_sparse_inplace", counted)
+    partitions_recurrence(10000)
+    assert len(reads) == 162
+    assert sum(reads) == 1_078_839
 
 
 @pytest.mark.parametrize("function", (partitions_recurrence, reciprocal_series),

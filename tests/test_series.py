@@ -306,7 +306,7 @@ def test_div_binomial_kernel_from_a_later_start_finishes_the_quotient(case, data
     assert coeffs == expected
 
 
-# lengths k * k - 1, k * k and k * k + 1, at every start the callers use
+# lengths k * k - 1, k * k and k * k + 1, at the starts k, 2k and 2k + 1
 # and at the top of the list and past it; the one start below k, the
 # empty list's top at k = 1, must be refused
 KERNEL_START_CASES = [
@@ -328,12 +328,14 @@ def test_div_binomial_kernel_from_every_caller_start_and_past_the_top(k, length,
 
 
 @pytest.mark.parametrize("k, length, start",
-                         [(5, 8, 2)] + [case for case in KERNEL_START_CASES
-                                        if case[2] < case[0]])
+                         [(5, 8, 2), (4, 12, 3)]
+                         + [case for case in KERNEL_START_CASES if case[2] < case[0]])
 def test_div_binomial_kernel_refuses_a_start_below_k(k, length, start):
-    # q_(start-k) would not exist, so the list must be left as it was
+    # q_(start-k) would not exist, so the list must be left as it was; a
+    # list iterator set to start - k = -1 would read from x^0 or nothing
     coeffs = list(range(1, length + 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=rf"^start must be >= k, got start={start}, k={k}$"):
         _div_binomial_inplace(coeffs, k, start)
     assert coeffs == list(range(1, length + 1))
 

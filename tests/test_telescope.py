@@ -295,6 +295,21 @@ def test_corrupted_bare_head_flag_fails_identity():
         lhs, record, expand_tail(flipped, order))
 
 
+@pytest.mark.parametrize("variant", (1, 2))
+def test_a_next_expansion_shorter_than_the_tail_fails_identity(variant):
+    # the sum stops with the shorter list, so a next tail one order short
+    # would match the tail everywhere it reaches; it must fail, not pass
+    tail = initial_tail(variant)
+    record, nxt = reduce_step(tail)
+    order = g_minus(tail.stage + 2) + 5
+    lhs = expand_tail(tail, order)
+    assert pentagon.telescope._identity_holds(lhs, record, expand_tail(nxt, order))
+    assert pentagon.telescope._identity_holds(lhs, record, expand_tail(nxt, order + 7))
+    short = expand_tail(nxt, order - 1)
+    assert record.second_exponent <= short.order
+    assert not pentagon.telescope._identity_holds(lhs, record, short)
+
+
 def test_emissions_match_pentagonal_formulas():
     for variant in (1, 2):
         tail = initial_tail(variant)
