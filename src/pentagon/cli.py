@@ -4,14 +4,16 @@ Every command writes deterministic output for a fixed set of flags, to
 stdout or to --out PATH. A command computes its result first and one
 renderer writes it as text, JSON or CSV, so --out PATH is opened only
 once there is a result to write. Exit codes: 0 success, 1 verification
-failure, 2 usage error.
+failure, 2 usage error, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from functools import cache
 from typing import IO, Callable, Iterable, NamedTuple
 
 from .partitions import partitions_recurrence
@@ -259,8 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` builds once per process: a parse keeps its
+    results in a new namespace and leaves the parser as it was."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         output = args.func(args)
@@ -284,7 +293,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout. Send what is still buffered to the
+        # null device, so the interpreter's last flush stays silent, and
+        # exit as a process that SIGPIPE ended would: 128 + 13.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 from itertools import islice
 
 from .pentagonal import g_minus
-from .series import (TruncatedSeries, _div_binomial_inplace, _int_add,
-                     _require_int, _zeros)
+from .series import (TruncatedSeries, _div_binomial_inplace, _require_int,
+                     _zeros)
 
 
 class StageVerificationError(RuntimeError):
@@ -193,52 +193,63 @@ def expand_tail(t: TailFamily, order: int) -> TruncatedSeries:
     That leaves about min(depth/(2d), sqrt(2*depth)) levels, with depth
     = order - base, each one in-place division by (1 - x^K) inside the
     output list: level K is its suffix from order - p_K, a head, then
-    F_(K+1) from d + K past it, divided from order - p_K + K. Level K
-    gets the opposite sign to level K + 1, so it holds (-1)^(K-d) * F_K
-    and no pass negates a list.
+    F_(K+1) from d + K past it, divided from order - p_K + K. The
+    verified-stage loop takes the same list, already in the tail's
+    series sign, from ``_tail_coeffs``.
     """
     _require_int(order, "order")
+    return TruncatedSeries(tuple(_tail_coeffs(t, order, 1)))
+
+
+def _tail_coeffs(t: TailFamily, order: int, sign: int) -> list[int]:
+    """``sign`` times the tail's expansion, as the list expand_tail wraps.
+
+    Level K gets the opposite sign to level K + 1, so it holds
+    sign * (-1)^(K-d) * F_K: the heads carry the sign, the divisions
+    are linear, and no pass negates a list.
+    """
     out = _zeros(order)
     depth = order - t.base
     if depth < 0:
-        return TruncatedSeries(tuple(out))
+        return out
     d = t.step
     levels = []
     k, p = d, depth
     while p >= k:
         levels.append((k, p))
         k, p = k + 1, p - d - k
-    sign = -1 if len(levels) % 2 else 1
+    head = -sign if len(levels) % 2 else sign
     if p >= 0:
-        out[order - p] = sign
+        out[order - p] = head
     for k, p in reversed(levels):
-        sign = -sign
-        out[order - p] = sign
+        head = -head
+        out[order - p] = head
         _div_binomial_inplace(out, k, order - p + k)
     if not t.includes_bare_head:
-        out[t.base] -= 1
-    return TruncatedSeries(tuple(out))
+        out[t.base] -= sign
+    return out
 
 
-def _identity_holds(lhs: TruncatedSeries, record: EmissionRecord,
-                    nxt_expansion: TruncatedSeries) -> bool:
-    """tail = s1*x^e1 + s2*x^e2 - next, at the order of ``lhs``.
+def _stage_holds(lhs: list[int], record: EmissionRecord,
+                 nxt: list[int]) -> bool:
+    """X_s = s1*x^e1 + s2*x^e2 + X_(s+1), at the order of ``lhs``.
 
-    Checked as tail + next - s1*x^e1 - s2*x^e2 == 0 after one C-level
-    sum. A longer ``nxt_expansion`` is cut to that order, which is
-    exact; a shorter one cannot show the identity, and ``map`` would
-    stop with it, so it fails.
+    Each X is a tail's expansion times its series sign (-1)^stage, as
+    ``_tail_coeffs`` gives it, and (s1, s2) are the record's series
+    signs. The signs of consecutive tails alternate, so this is the
+    tail's own equation, tail = (tail_signs monomials) - next, times
+    (-1)^stage. A longer ``nxt`` is cut to that order, which is exact; a
+    shorter one cannot show the identity, so it fails.
     """
-    order = lhs.order
-    if nxt_expansion.order < order:
+    order = len(lhs) - 1
+    if len(nxt) <= order:
         return False
-    total = list(map(_int_add, lhs.coeffs, nxt_expansion.coeffs))
-    s1, s2 = record.tail_signs
+    want = nxt[:order + 1]
     if record.first_exponent <= order:
-        total[record.first_exponent] -= s1
+        want[record.first_exponent] += record.first_sign
     if record.second_exponent <= order:
-        total[record.second_exponent] -= s2
-    return not any(total)
+        want[record.second_exponent] += record.second_sign
+    return lhs == want
 
 
 def _step_order(t: TailFamily, order: int | None) -> int:
@@ -250,18 +261,21 @@ def _verified_stages(t: TailFamily, order: int | None
                      ) -> Iterator[tuple[EmissionRecord, TailFamily]]:
     """Reduce from ``t`` without end, yielding each checked (record, next tail).
 
-    Each tail is expanded once, at its step order, for both of its steps.
+    Each tail is expanded once, at its step order and in its series
+    sign (-1)^stage, for both of its steps; the two signs alternate, so
+    every stage check is one list comparison.
     """
-    lhs = expand_tail(t, _step_order(t, order))
+    lhs = _tail_coeffs(t, _step_order(t, order), t.contribution_sign)
     while True:
         record, nxt = reduce_step(t)
-        nxt_expansion = expand_tail(nxt, _step_order(nxt, order))
-        if not _identity_holds(lhs, record, nxt_expansion):
+        nxt_coeffs = _tail_coeffs(nxt, _step_order(nxt, order),
+                                  nxt.contribution_sign)
+        if not _stage_holds(lhs, record, nxt_coeffs):
             raise StageVerificationError(
                 f"variant {t.variant} stage {t.stage} failed its identity "
-                f"check at order {lhs.order}")
+                f"check at order {len(lhs) - 1}")
         yield record, nxt
-        t, lhs = nxt, nxt_expansion
+        t, lhs = nxt, nxt_coeffs
 
 
 def replay_stages(variant: int, stages: int,

@@ -396,7 +396,51 @@ def test_console_script_entry_point():
     assert result.stdout == "1 - x - x^2 + x^5 + x^7 - x^12\n"
 
 
-@pytest.mark.skipif(shutil.which("pentagon") is None,
+def test_a_closed_stdout_pipe_exits_141_quietly():
+    # used to end in a BrokenPipeError traceback and exit 1, the code of a
+    # failed verification; the table is far longer than a pipe holds
+    with subprocess.Popen(
+            [sys.executable, "-m", "pentagon.cli", "partitions", "--upto", "20000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=_env_for_imported_package()) as process:
+        first = process.stdout.readline()
+        process.stdout.close()
+        err = process.stderr.read()
+    assert first == b"0 1\n"
+    assert process.returncode == 141
+    assert err == b""
+
+
+def test_one_process_reuses_its_parser_and_writes_what_fresh_ones_do(
+        capsys, monkeypatch):
+    # a flag or default left over from one parse would show in the next
+    sequence = (
+        ["partitions", "--upto", "5", "--csv"],
+        ["partitions", "--upto", "5"],
+        ["telescope", "--variant", "3"],
+        ["telescope", "--variant", "2", "--stages", "3"],
+        ["telescope", "--variant", "1", "--order", "12", "--json"],
+    )
+    main(["expand", "--order", "3"])
+    capsys.readouterr()
+    monkeypatch.setattr(pentagon.cli, "build_parser",
+                        lambda: pytest.fail("main built a second parser"))
+    codes = []
+    for argv in sequence:
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "pentagon.cli", *argv],
+            capture_output=True, text=True, env=_env_for_imported_package())
+        assert (codes[-1], captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert codes == [0, 0, 2, 0, 0]
+
+
+@pytest.mark.skipif(shutil.which("pentagon") is None and not os.environ.get("CI"),
                     reason="the pentagon script is not installed on PATH")
 def test_installed_console_script():
     result = subprocess.run(

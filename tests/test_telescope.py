@@ -14,6 +14,8 @@ from pentagon.telescope import (
     EmissionRecord,
     StageVerificationError,
     TailFamily,
+    _stage_holds,
+    _tail_coeffs,
     expand_tail,
     initial_tail,
     reduce_step,
@@ -141,18 +143,19 @@ def test_expand_tail_matches_forward_sum(tail_and_order):
 @pytest.mark.parametrize("variant", (1, 2))
 def test_expand_tail_matches_forward_sum_on_every_stage(monkeypatch, variant):
     expansions = []
+    tail_coeffs = pentagon.telescope._tail_coeffs
 
-    def recorded(t, order):
-        expansions.append((t, order, expand_tail(t, order)))
+    def recorded(t, order, sign):
+        expansions.append((t, order, tail_coeffs(t, order, sign)))
         return expansions[-1][2]
 
-    monkeypatch.setattr(pentagon.telescope, "expand_tail", recorded)
+    monkeypatch.setattr(pentagon.telescope, "_tail_coeffs", recorded)
     trace = run_telescope(variant, 1200)
     assert [t.stage for t, _, _ in expansions] == list(
         range(initial_tail(variant).stage, trace.residual.stage + 1))
-    for t, order, expansion in expansions:
+    for t, order, coeffs in expansions:
         assert order == 1200
-        assert expansion.coeffs == forward_tail(t, order)
+        assert coeffs == [t.contribution_sign * c for c in forward_tail(t, order)]
 
 
 @pytest.mark.parametrize("variant", (1, 2))
@@ -260,54 +263,72 @@ def test_replay_stages_default_order_all_early_stages():
         assert len(replay_stages(variant, 12)) == 12
 
 
+def signed_coeffs(t: TailFamily, order: int) -> list[int]:
+    """The tail's expansion in its series sign, as the stage loop holds it."""
+    return _tail_coeffs(t, order, t.contribution_sign)
+
+
 def test_corrupted_next_tail_fails_identity():
     for variant in (1, 2):
         tail = initial_tail(variant)
         record, nxt = reduce_step(tail)
         order = g_minus(tail.stage + 2) + 5
-        lhs = expand_tail(tail, order)
-        assert pentagon.telescope._identity_holds(lhs, record, expand_tail(nxt, order))
+        lhs = signed_coeffs(tail, order)
+        assert _stage_holds(lhs, record, signed_coeffs(nxt, order))
         shifted = dataclasses.replace(nxt, base=nxt.base + 1)
-        assert not pentagon.telescope._identity_holds(
-            lhs, record, expand_tail(shifted, order))
+        assert not _stage_holds(lhs, record, signed_coeffs(shifted, order))
 
 
 def test_corrupted_emission_fails_identity():
     tail = canonical_tail(1, 3)
     record, nxt = reduce_step(tail)
     order = g_minus(5) + 5
-    lhs, rest = expand_tail(tail, order), expand_tail(nxt, order)
-    assert pentagon.telescope._identity_holds(lhs, record, rest)
+    lhs, rest = signed_coeffs(tail, order), signed_coeffs(nxt, order)
+    assert _stage_holds(lhs, record, rest)
     wrong_exp = dataclasses.replace(record, second_exponent=record.second_exponent + 1)
-    assert not pentagon.telescope._identity_holds(lhs, wrong_exp, rest)
+    assert not _stage_holds(lhs, wrong_exp, rest)
     wrong_sign = dataclasses.replace(record, first_sign=-record.first_sign)
-    assert not pentagon.telescope._identity_holds(lhs, wrong_sign, rest)
+    assert not _stage_holds(lhs, wrong_sign, rest)
 
 
 def test_corrupted_bare_head_flag_fails_identity():
     tail = canonical_tail(2, 3)
     record, nxt = reduce_step(tail)
     order = g_minus(5) + 5
-    lhs = expand_tail(tail, order)
-    assert pentagon.telescope._identity_holds(lhs, record, expand_tail(nxt, order))
+    lhs = signed_coeffs(tail, order)
+    assert _stage_holds(lhs, record, signed_coeffs(nxt, order))
     flipped = dataclasses.replace(nxt, includes_bare_head=False)
-    assert not pentagon.telescope._identity_holds(
-        lhs, record, expand_tail(flipped, order))
+    assert not _stage_holds(lhs, record, signed_coeffs(flipped, order))
 
 
 @pytest.mark.parametrize("variant", (1, 2))
 def test_a_next_expansion_shorter_than_the_tail_fails_identity(variant):
-    # the sum stops with the shorter list, so a next tail one order short
-    # would match the tail everywhere it reaches; it must fail, not pass
+    # cut to the tail's length, a next tail one order short would match
+    # the tail everywhere it reaches; it must fail, not pass
     tail = initial_tail(variant)
     record, nxt = reduce_step(tail)
     order = g_minus(tail.stage + 2) + 5
-    lhs = expand_tail(tail, order)
-    assert pentagon.telescope._identity_holds(lhs, record, expand_tail(nxt, order))
-    assert pentagon.telescope._identity_holds(lhs, record, expand_tail(nxt, order + 7))
-    short = expand_tail(nxt, order - 1)
-    assert record.second_exponent <= short.order
-    assert not pentagon.telescope._identity_holds(lhs, record, short)
+    lhs = signed_coeffs(tail, order)
+    assert _stage_holds(lhs, record, signed_coeffs(nxt, order))
+    assert _stage_holds(lhs, record, signed_coeffs(nxt, order + 7))
+    short = signed_coeffs(nxt, order - 1)
+    assert record.second_exponent < len(short)
+    assert not _stage_holds(lhs, record, short)
+
+
+@pytest.mark.parametrize("variant", (1, 2))
+def test_a_next_tail_out_of_its_series_sign_fails_identity(variant):
+    # the series signs of consecutive tails alternate; the check must see
+    # the next tail's, not its bare expansion
+    tail = canonical_tail(variant, 2)
+    record, nxt = reduce_step(tail)
+    assert nxt.contribution_sign == -1
+    order = g_minus(tail.stage + 2) + 5
+    lhs = signed_coeffs(tail, order)
+    assert _stage_holds(lhs, record, signed_coeffs(nxt, order))
+    unsigned = _tail_coeffs(nxt, order, 1)
+    assert unsigned == list(expand_tail(nxt, order).coeffs)
+    assert not _stage_holds(lhs, record, unsigned)
 
 
 def test_emissions_match_pentagonal_formulas():
@@ -455,8 +476,9 @@ def test_replay_stages_counts_and_validation():
 def test_replay_stages_rejects_order_below_last_stage(monkeypatch, variant,
                                                       last_stage, needed):
     assert len(replay_stages(variant, 8, needed)) == 8
-    monkeypatch.setattr(pentagon.telescope, "expand_tail",
-                        lambda t, order: pytest.fail("a tail was expanded"))
+    for name in ("expand_tail", "_tail_coeffs"):
+        monkeypatch.setattr(pentagon.telescope, name,
+                            lambda *args: pytest.fail("a tail was expanded"))
     for order in (12, needed - 1):
         with pytest.raises(ValueError,
                            match=f"stage {last_stage} needs order >= {needed}"):
@@ -494,11 +516,13 @@ def test_replay_stages_detects_broken_step(broken_reduce_step):
 def test_every_tail_is_expanded_once(monkeypatch, variant):
     expanded = []
 
-    def counted(t, order):
-        expanded.append(t.stage)
-        return expand_tail(t, order)
+    tail_coeffs = pentagon.telescope._tail_coeffs
 
-    monkeypatch.setattr(pentagon.telescope, "expand_tail", counted)
+    def counted(t, order, sign):
+        expanded.append(t.stage)
+        return tail_coeffs(t, order, sign)
+
+    monkeypatch.setattr(pentagon.telescope, "_tail_coeffs", counted)
     first = initial_tail(variant).stage
     for stages, order in ((7, 300), (7, None), (30, None)):
         expanded.clear()
