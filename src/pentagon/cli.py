@@ -255,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=_int_at_least(2), required=True,
                    help="order for the closed form and cascade checks")
     p.add_argument("--roots-max-d", type=_int_at_least(1), default=12,
-                   help="check primitive roots up to this order (default 12)")
+                   help="check primitive roots up to this order (default 12, "
+                        "at most 500)")
     add_output(p, _cmd_verify, csv=False)
 
     return parser

@@ -85,10 +85,21 @@ class EmissionRecord:
     first_sign: int
     second_sign: int
 
+    def __post_init__(self) -> None:
+        for name in ("stage", "first_exponent", "second_exponent",
+                     "first_sign", "second_sign"):
+            _require_int(getattr(self, name), name)
+        if self.stage < 1:
+            raise ValueError(f"stage must be >= 1, got {self.stage}")
+        for name in ("first_sign", "second_sign"):
+            sign = getattr(self, name)
+            if sign not in (-1, 1):
+                raise ValueError(f"{name} must be -1 or 1, got {sign}")
+
     @property
     def tail_signs(self) -> tuple[int, int]:
         """Signs of the two monomials inside the tail equation itself."""
-        c = (-1) ** self.stage
+        c = -1 if self.stage % 2 else 1
         return self.first_sign * c, self.second_sign * c
 
 

@@ -169,6 +169,16 @@ def test_telescope_huge_stages_below_floor_exit_2_at_once(capsys, variant,
         "(its next tail's leading exponent), got 2500\n")
 
 
+def test_verify_refuses_a_root_sweep_above_500(capsys):
+    # the root sweep grows as D^3 (31 s at 1000); 501 used to run it
+    code = main(["verify", "--order", "2", "--roots-max-d", "501"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("pentagon verify: error: roots_max_d must be "
+                            "<= 500, got 501\n")
+
+
 def test_partitions_text_and_csv(capsys):
     code, out = run_cli(capsys, "partitions", "--upto", "5")
     assert code == 0
@@ -202,8 +212,8 @@ def test_expand_order_2000_bytes_are_pinned(capsys, fmt, digest):
 
 
 @pytest.mark.parametrize("fmt, digest", (
-    ((), "fceb579c955098ca9ef75ecf8a8201f34062788d648c86c6e6a49f94752a790f"),
-    (("--json",), "9cc823e998e778a2844e4dfa99d945bb374d13f482699d417173894f9c44058c"),
+    ((), "203b1191a87dc59978b90d44f6012c740db740412382d5b031181a2c6d2b9842"),
+    (("--json",), "49e138f5addffb477017f4bfbbc6b2c2de78c19526096d07a3520529885b3980"),
 ))
 def test_verify_order_2500_bytes_are_pinned(capsys, fmt, digest):
     code, out = run_cli(capsys, "verify", "--order", "2500", "--roots-max-d", "40",

@@ -88,14 +88,19 @@ INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm"}
 
 def float_uses(tree):
     """(what, line) for each way a module could compute in floating point:
-    a float or complex literal, true division, cmath, or a function of
-    math outside INTEGER_MATH, imported by name or reached as math.name."""
+    a float or complex literal, true division, a power or the builtin pow
+    (an int to a negative int is a float), cmath, or a function of math
+    outside INTEGER_MATH, imported by name or reached as math.name."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
             yield f"literal {node.value!r}", node.lineno
         elif (isinstance(node, (ast.BinOp, ast.AugAssign))
-                and isinstance(node.op, ast.Div)):
-            yield "true division", node.lineno
+                and isinstance(node.op, (ast.Div, ast.Pow))):
+            yield ("true division" if isinstance(node.op, ast.Div) else "power",
+                   node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "pow"):
+            yield "pow()", node.lineno
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name == "cmath":
@@ -107,6 +112,13 @@ def float_uses(tree):
         elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id == "math" and node.attr not in INTEGER_MATH):
             yield f"math.{node.attr}", node.lineno
+
+
+def test_float_check_flags_powers_but_not_unpacking():
+    tree = ast.parse("a = 2 ** -1\nb **= 2\nc = pow(2, -1)\n"
+                     "d = {**a}\ne = f(*a, **b)\n")
+    assert sorted(float_uses(tree), key=lambda use: use[1]) == [
+        ("power", 1), ("power", 2), ("pow()", 3)]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

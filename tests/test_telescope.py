@@ -444,6 +444,11 @@ def test_variants_emit_identical_term_multisets(order):
     (lambda: DerivationTrace(1, 5.0, (), initial_tail(1)),
      "order must be an int, got 5.0"),
     (lambda: TailFamily(1, 0, 1, 1, False), "stage, base and step must all be >= 1"),
+    # these used to be built, and tail_signs gave floats or complex numbers
+    (lambda: EmissionRecord(-1, 1, 2, 1, 1), "stage must be >= 1, got -1"),
+    (lambda: EmissionRecord(1.5, 1, 2, 1, 1), "stage must be an int, got 1.5"),
+    (lambda: EmissionRecord(1, 1, 2, 5, 1), "first_sign must be -1 or 1, got 5"),
+    (lambda: EmissionRecord(1, 1, 2, 1, True), "second_sign must be an int, got True"),
 ))
 def test_entry_points_name_the_argument_they_reject(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -18,12 +18,6 @@ from pentagon.series import (
 from pentagon.verify import CheckResult, _first_root_mismatch, full_verification
 
 
-def root_product_call(out, e):
-    """Whether an ``_add_shifted`` call applies factor e to the root
-    product, which holds P_(e-1) and e zeros: e(e + 1)/2 + 1 entries."""
-    return len(out) == e * (e + 1) // 2 + 1
-
-
 def cascade_quotients(order):
     """Copies of the closed form's quotients after steps 0..order."""
     return [q[:] for q in pentagon.verify._cascade(closed_form_series(order))]
@@ -126,7 +120,7 @@ def test_first_root_mismatch_names_a_zero_before_m_reaches_d(monkeypatch):
 
     def zero_after_4(out, e, c, a):
         original(out, e, c, a)
-        if e == 4 and root_product_call(out, e):
+        if e == 4:
             out[:] = [0] * len(out)
 
     monkeypatch.setattr(pentagon.verify, "_add_shifted", zero_after_4)
@@ -135,7 +129,7 @@ def test_first_root_mismatch_names_a_zero_before_m_reaches_d(monkeypatch):
     closed, cascade, roots = full_verification(60, 6)
     assert closed.passed and cascade.passed
     assert not roots.passed
-    assert roots.detail == "zeta(d=5, j=1) at m=4: is_zero=True, expected False"
+    assert roots.detail == "zeta(d=5) at m=4: is_zero=True, expected False"
 
 
 def test_root_count_completeness():
@@ -182,22 +176,7 @@ def test_partial_product_value_at_one_is_zero_like():
     assert sum(series.coeffs) == 0
 
 
-def test_full_verification_reports_a_corrupted_quotient(monkeypatch):
-    original = pentagon.verify._div_binomial_inplace
-
-    def corrupt_step_5(coeffs, k, *args):
-        original(coeffs, k, *args)
-        if k == 5:
-            coeffs[7] += 1
-
-    monkeypatch.setattr(pentagon.verify, "_div_binomial_inplace", corrupt_step_5)
-    closed, cascade, roots = full_verification(60, 6)
-    assert closed.passed and roots.passed
-    assert not cascade.passed
-    assert cascade.detail == "quotient after step 5 differs from the remaining product"
-
-
-def test_full_verification_reports_a_corrupted_product(monkeypatch):
+def corrupt_product(monkeypatch):
     original = pentagon.verify.partial_product
 
     def corrupt_x4(m, order):
@@ -206,32 +185,45 @@ def test_full_verification_reports_a_corrupted_product(monkeypatch):
         return TruncatedSeries(tuple(coeffs))
 
     monkeypatch.setattr(pentagon.verify, "partial_product", corrupt_x4)
-    closed, cascade, roots = full_verification(60, 6)
-    assert roots.passed
-    assert not closed.passed
-    assert closed.detail == "first mismatch at x^4: closed form 0, product 1"
-    # the quotients are multiplied back to the same product, so the
-    # first sampled one differs from it too
-    assert not cascade.passed
-    assert cascade.detail == "quotient after step 1 differs from the remaining product"
 
 
-def test_full_verification_reports_a_corrupted_multiply_back(monkeypatch):
+def corrupt_quotient(monkeypatch):
+    original = pentagon.verify._div_binomial_inplace
+
+    def corrupt_step_5(coeffs, k, *args):
+        original(coeffs, k, *args)
+        if k == 5:
+            coeffs[7] += 1
+
+    monkeypatch.setattr(pentagon.verify, "_div_binomial_inplace", corrupt_step_5)
+
+
+def skip_root_factor(monkeypatch):
     original = pentagon.verify._add_shifted
 
-    def corrupt_factor_5(out, e, c, a):
-        original(out, e, c, a)
-        if e == 5 and not root_product_call(out, e):
-            out[9] += 1
+    def skip_factor_6(out, e, c, a):
+        if e != 6:
+            original(out, e, c, a)
 
-    monkeypatch.setattr(pentagon.verify, "_add_shifted", corrupt_factor_5)
-    closed, cascade, roots = full_verification(60, 6)
-    assert closed.passed and roots.passed
-    assert not cascade.passed
-    assert cascade.detail == "quotient after step 5 differs from the remaining product"
+    monkeypatch.setattr(pentagon.verify, "_add_shifted", skip_factor_6)
 
 
-def test_full_verification_multiplies_each_sampled_quotient_back_in_full(monkeypatch):
+@pytest.mark.parametrize("corrupt, failing, detail", (
+    (corrupt_product, 0, "first mismatch at x^4: closed form 0, product 1"),
+    (corrupt_quotient, 1, "final quotient is not 1: first wrong term at x^7"),
+    (skip_root_factor, 2, "zeta(d=6) at m=6: is_zero=False, expected True"),
+), ids=("product", "quotient", "root-factor"))
+def test_each_corruption_fails_only_its_own_check(monkeypatch, corrupt, failing,
+                                                  detail):
+    # each check reads its own input: the product, the cascade's final
+    # quotient, or the root product
+    corrupt(monkeypatch)
+    checks = full_verification(60, 6)
+    assert [c.passed for c in checks] == [i != failing for i in range(3)]
+    assert checks[failing].detail == detail
+
+
+def test_full_verification_adds_shifted_only_for_the_root_product(monkeypatch):
     calls = []
     original = pentagon.verify._add_shifted
 
@@ -241,11 +233,8 @@ def test_full_verification_multiplies_each_sampled_quotient_back_in_full(monkeyp
 
     monkeypatch.setattr(pentagon.verify, "_add_shifted", recorded)
     assert all(c.passed for c in full_verification(300, 6))
-    # (1 - x^k) for k = m..1 after each sampled step m, each from x^k up,
-    # then one pass per factor of the root product, none repeated per d
-    assert calls == ([(k, -1) for m in (1, 5, 50) for k in range(m, 0, -1)]
-                     + [(d, -1) for d in range(1, 7)])
-    assert len(calls) == 1 + 5 + 50 + 6
+    # one pass per factor of the root product, none repeated per d
+    assert calls == [(d, -1) for d in range(1, 7)]
 
 
 def test_full_verification_divides_once_per_factor(monkeypatch):
@@ -261,37 +250,25 @@ def test_full_verification_divides_once_per_factor(monkeypatch):
     assert factors == list(range(1, 301))
 
 
-def test_multiplicity_count_is_checked_once(monkeypatch):
-    full_verification(2, 1)
-    full_verification(3, 2)
-    cached = pentagon.verify._multiplicity_count_mismatch
-    assert cached() is None
-    assert cached.cache_info().misses == 1
-    monkeypatch.setattr(pentagon.verify, "_multiplicity_count_mismatch", lambda: 7)
-    closed, cascade, roots = full_verification(60, 6)
-    assert closed.passed and cascade.passed
-    assert not roots.passed
-    assert roots.detail == "multiplicity count mismatch at m=7"
-
-
 def test_roots_up_to_d_150_pass_where_a_float_tolerance_failed():
     # |P_20(zeta_125)| is 1.9e-8: small, but not zero
     closed, cascade, roots = full_verification(2, 150)
     assert roots.passed
-    assert roots.detail == "d <= 150, m <= 300, multiplicity sums to m <= 50"
+    assert roots.detail == "d <= 150, m <= 300"
 
 
-def test_full_verification_reports_a_skipped_factor_at_a_root(monkeypatch):
-    # the same run passes with every factor swept
-    assert all(c.passed for c in full_verification(60, 6))
-    original = pentagon.verify._add_shifted
+def test_roots_max_d_is_at_most_500(monkeypatch):
+    # the root sweep grows as D^3; a wider one is refused before anything
+    # is built
+    def built(*args):
+        raise AssertionError("a product was built")
 
-    def skip_factor_6(out, e, c, a):
-        if not (e == 6 and root_product_call(out, e)):
-            original(out, e, c, a)
-
-    monkeypatch.setattr(pentagon.verify, "_add_shifted", skip_factor_6)
-    closed, cascade, roots = full_verification(60, 6)
-    assert closed.passed and cascade.passed
-    assert not roots.passed
-    assert roots.detail == "zeta(d=6, j=1) at m=6: is_zero=False, expected True"
+    monkeypatch.setattr(pentagon.verify, "partial_product", built)
+    with pytest.raises(ValueError, match="^roots_max_d must be <= 500, got 501$"):
+        full_verification(2, 501)
+    monkeypatch.undo()
+    swept = []
+    # stands in for the 3 s sweep; append returns None, the sweep's pass
+    monkeypatch.setattr(pentagon.verify, "_first_root_mismatch", swept.append)
+    assert all(c.passed for c in full_verification(2, 500))
+    assert swept == [500]
