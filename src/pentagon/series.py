@@ -137,7 +137,7 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(tuple(out))
 
 
-def _add_shifted(out: list[int], e: int, c: int, a: list[int] | tuple[int, ...]) -> None:
+def _add_shifted(out: list[int], e: int, c: int, a: Iterable[int]) -> None:
     """out += c * x^e * a modulo x^len(out), for c != 0, in one shifted C-level pass.
 
     The one in-place multiplication kernel. An add or a subtract for
@@ -171,7 +171,7 @@ def _div_binomial_inplace(coeffs: list[int], k: int, start: int | None = None) -
     Updates begin at ``start`` >= k, by default k, below which q_i = a_i.
     A later start is exact when every entry below it already holds q_i:
     the verify cascade passes 2k + 1 for a list 1 + 0*x + ... + 0*x^k +
-    O(x^(k+1)), whose q_i is a_i + 0 up to x^(2k); ``expand_tail``
+    O(x^(k+1)), whose q_i is a_i + 0 up to x^(2k); ``_tail_coeffs``
     passes k past a head. The partition oracle divides from k.
 
     One C-level pass: the entries from start are cut off, and ``extend``
@@ -259,6 +259,10 @@ def _divisor_sums(n: int) -> list[int]:
     return sums
 
 
+# exponents per block of the full product; 64 to 512 time the same
+_BLOCK = 128
+
+
 def product_range(first: int, last: int, order: int) -> TruncatedSeries:
     """prod of (1 - x^k) for k = first..last, modulo x^(order+1).
 
@@ -276,12 +280,16 @@ def product_range(first: int, last: int, order: int) -> TruncatedSeries:
     The full product P (first == 1 and last >= order) comes from its
     logarithmic derivative instead, as in Euler's E175: x*P'/P is
     -(the sum of k*x^k/(1 - x^k)) = -(the sum of sigma(n)*x^n), so
-    n*p_n = -(the sum of sigma(n - j)*p_j over j < n). ``acc[n]`` keeps
-    that sum: each nonzero p_n adds p_n * sigma to acc from x^(n+1) up in
-    one ``_add_shifted`` pass, and a sum that n does not divide raises
-    ArithmeticError. No pentagonal number is assumed, so the oracle does
-    not rest on Euler's theorem; a wrong or dense result would only cost
-    more passes.
+    n*p_n = -(the sum of sigma(n - j)*p_j over j < n). The exponents go
+    in blocks of ``_BLOCK``, and ``acc`` keeps the block's sums. At the
+    start of block [n0, n1) the nonzero p_j with j < n0 are grouped by
+    value; each p_j reads one row sigma[n0 - j:n1 - j], ``sum`` adds a
+    group's rows column by column in C, and one ``_add_shifted`` pass
+    adds p_j times those column sums. Within the block, each nonzero p_n
+    adds p_n * sigma to the sums after it. A sum that n does not divide
+    raises ArithmeticError. No pentagonal number and no coefficient
+    value is assumed, so the oracle does not rest on Euler's theorem; a
+    wrong or dense result would only cost more rows and passes.
     """
     _require_int(first, "first")
     _require_int(last, "last")
@@ -291,15 +299,24 @@ def product_range(first: int, last: int, order: int) -> TruncatedSeries:
     cur = _zeros(order)
     cur[0] = 1
     if first == 1 and last >= order:
-        acc = _divisor_sums(order)
-        sigma = acc[1:]
-        for n in range(1, order + 1):
-            c, r = divmod(-acc[n], n)
-            if r:
-                raise ArithmeticError(f"x^{n}: {n} does not divide {-acc[n]}")
-            if c:
-                _add_shifted(acc, n + 1, c, sigma)
-                cur[n] = c
+        sums = _divisor_sums(order)
+        sigma = sums[1:]
+        support = {1: [0]}
+        for n0 in range(1, order + 1, _BLOCK):
+            n1 = min(n0 + _BLOCK, order + 1)
+            acc = [0] * (n1 - n0)
+            for c, js in support.items():
+                rows = [sums[n0 - j:n1 - j] for j in js]
+                _add_shifted(acc, 0, c, map(sum, zip(*rows)))
+            for i, n in enumerate(range(n0, n1)):
+                c, r = divmod(-acc[i], n)
+                if r:
+                    raise ArithmeticError(f"x^{n}: {n} does not divide {-acc[i]}")
+                if c:
+                    cur[n] = c
+                    support.setdefault(c, []).append(n)
+                    if n + 1 < n1:
+                        _add_shifted(acc, i + 1, c, sigma)
     else:
         for k in range(min(last, order), first - 1, -1):
             cur[k] -= 1
@@ -312,9 +329,12 @@ def partial_product(m: int, order: int) -> TruncatedSeries:
 
     The oracle every other representation in the package is checked
     against. With m >= order it is ``product_range``'s full product, read
-    off the product's logarithmic derivative, which the tests check
-    against the ascending chain of binomial multiplies. With m < order it
-    is the single largest-first sweep, about order^2/4 updates at most.
+    off the product's logarithmic derivative block by block: the sums
+    from earlier blocks are gathered as rows of sigma and added in C, so
+    the Python-level passes run over one block, not the whole series. The
+    tests check it against the ascending chain of binomial multiplies for
+    several block lengths. With m < order it is the single largest-first
+    sweep, about order^2/4 updates at most.
     """
     _require_int(m, "m")
     if m < 1:

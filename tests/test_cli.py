@@ -212,6 +212,18 @@ def test_expand_order_2000_bytes_are_pinned(capsys, fmt, digest):
 
 
 @pytest.mark.parametrize("fmt, digest", (
+    ((), "51ab5c6d7c2ce446430e07f391a2b045cc90f50dc4503d9303501aedacf3dfb3"),
+    (("--json",), "73619a3f1d0f8c52206e81507f728eb504884f6fd38a85c71504966d6fc98709"),
+))
+def test_expand_order_6000_bytes_are_pinned(capsys, fmt, digest):
+    # the largest order the benchmark expands; the full product crosses
+    # 47 blocks of its log-derivative sums
+    code, out = run_cli(capsys, "expand", "--order", "6000", *fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt, digest", (
     ((), "203b1191a87dc59978b90d44f6012c740db740412382d5b031181a2c6d2b9842"),
     (("--json",), "49e138f5addffb477017f4bfbbc6b2c2de78c19526096d07a3520529885b3980"),
 ))

@@ -483,18 +483,79 @@ def test_full_product_path_matches_the_ascending_chain():
         assert product_range(1, order - 1, order).coeffs == expected, order
 
 
-def test_full_product_pushes_once_per_nonzero_coefficient(monkeypatch):
-    # each nonzero p_n adds p_n * sigma into the running sums from x^(n+1):
-    # one pass per generalized pentagonal number 1..N and no other, so no
-    # sweep pass; and no division kernel runs
-    pushes = spy_on_add_shifted(monkeypatch)
+@pytest.mark.parametrize("block, rows_read_at_2000", ((7, 97_161), (128, 92_336)))
+def test_full_product_gathers_per_block_and_pushes_within_it(monkeypatch, block,
+                                                             rows_read_at_2000):
+    # at the start of each block, one (0, c) pass per coefficient value
+    # found before it adds that group's sigma rows; inside the block, each
+    # nonzero p_n but the block's last adds p_n * sigma from the next slot
+    # on; every pass runs over one block, no sweep pass runs, and no
+    # division kernel runs. At 7, p_7 and p_301 are the last of a block
+    monkeypatch.setattr(pentagon.series, "_BLOCK", block)
+    calls, rows = [], []
+    add_shifted, divisor_sums = pentagon.series._add_shifted, pentagon.series._divisor_sums
+
+    def recorded(out, e, c, a):
+        calls.append((e, c, len(out)))
+        add_shifted(out, e, c, a)
+
+    class CountedRows(list):
+        def __getitem__(self, index):
+            if isinstance(index, slice) and index.stop is not None:
+                rows.append(index.stop - index.start)
+            return list.__getitem__(self, index)
+
+    monkeypatch.setattr(pentagon.series, "_add_shifted", recorded)
+    monkeypatch.setattr(pentagon.series, "_divisor_sums",
+                        lambda n: CountedRows(divisor_sums(n)))
     for name in ("_div_binomial_inplace", "_div_sparse_inplace"):
         monkeypatch.setattr(pentagon.series, name,
-                            lambda *args, name=name: pushes.append(name))
-    for order in (300, 2000):
-        pushes.clear()
+                            lambda *args, name=name: calls.append(name))
+    for order in (300, 301, 2000):
+        calls.clear()
+        rows.clear()
         partial_product(order, order)
-        assert pushes == [(e + 1, c) for e, c in pentagonal_terms_upto(order)[1:]]
+        terms = pentagonal_terms_upto(order)
+        expected, budget = [], 0
+        for n0 in range(1, order + 1, block):
+            n1 = min(n0 + block, order + 1)
+            before = [c for e, c in terms if e < n0]
+            expected += [(0, c, n1 - n0) for c in dict.fromkeys(before)]
+            expected += [(e - n0 + 1, c, n1 - n0) for e, c in terms if n0 <= e < n1 - 1]
+            budget += len(before) * (n1 - n0)
+        assert calls == expected, order
+        assert max(length for _, _, length in calls) <= block
+        # sigma entries read across blocks: one row per earlier p_j
+        assert sum(rows) == budget, order
+    assert budget == rows_read_at_2000
+
+
+@pytest.mark.parametrize("block", (1, 2, 3, 7))
+def test_full_product_is_exact_for_short_blocks(monkeypatch, block):
+    # short blocks put nonzero coefficients at the first and the last
+    # slot of a block, and at both when a block holds one exponent
+    monkeypatch.setattr(pentagon.series, "_BLOCK", block)
+    for order in range(81):
+        expected = ascending_product_range(1, order, order)
+        assert product_range(1, order, order).coeffs == expected, order
+
+
+@pytest.mark.parametrize("block", (1, 3, 7, 128))
+@pytest.mark.parametrize("power", (2, 3))
+def test_full_product_path_handles_any_coefficient_value(monkeypatch, block, power):
+    # power * sigma is the log-derivative of the power-th power of the
+    # product, whose coefficients are not all +-1 (the cube's run 1, -3,
+    # 5, -7, ...), so the sums gather more than two groups of p_j
+    divisor_sums = pentagon.series._divisor_sums
+    monkeypatch.setattr(pentagon.series, "_BLOCK", block)
+    monkeypatch.setattr(pentagon.series, "_divisor_sums",
+                        lambda n: [power * s for s in divisor_sums(n)])
+    for order in (0, 1, 2, 9, 10, 80, 300):
+        base = TruncatedSeries(ascending_product_range(1, order, order))
+        expected = base
+        for _ in range(power - 1):
+            expected = mul(expected, base)
+        assert product_range(1, order, order).coeffs == expected.coeffs, order
 
 
 def plain_divisor_sum(n):
@@ -509,10 +570,13 @@ def test_divisor_sums_match_a_plain_divisor_loop():
     assert _divisor_sums(500) == plain
 
 
-@pytest.mark.parametrize("wrong", (2, 3, 97, 500))
+@pytest.mark.parametrize("wrong", (2, 3, 97, 128, 129, 500))
 def test_a_wrong_divisor_sum_raises_naming_its_exponent(monkeypatch, wrong):
     # sigma(wrong) one too large leaves a sum that wrong does not divide;
-    # the product must stop there, not round the quotient and go on
+    # the product must stop there, not round the quotient and go on.
+    # 128 is the last exponent of the first block and 129 the first of
+    # the second, whose sum comes only from the rows gathered before it
+    assert pentagon.series._BLOCK == 128
     original = pentagon.series._divisor_sums
 
     def off_by_one(n):
