@@ -4,7 +4,7 @@ Every command writes deterministic output for a fixed set of flags, to
 stdout or to --out PATH. A command computes its result first and one
 renderer writes it as text, JSON or CSV, so --out PATH is opened only
 once there is a result to write. Exit codes: 0 success, 1 verification
-failure, 2 usage error, 141 stdout closed by its reader.
+failure, 2 usage error, 130 interrupted, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -303,6 +303,9 @@ def entry() -> None:
         # exit as a process that SIGPIPE ended would: 128 + 13.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 141
+    except KeyboardInterrupt:
+        # Ctrl-C: exit as a process that SIGINT ended would, 128 + 2.
+        code = 130
     raise SystemExit(code)
 
 

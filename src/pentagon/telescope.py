@@ -11,15 +11,17 @@ two monomials plus a tail of the same shape one stage further along.
 Variant 1 starts from the prefix 1 - x and emits with mixed signs;
 variant 2 starts from 1 - x - x^2, carries bare heads, and emits both
 monomials with the same sign. Every step is replayed numerically in
-the truncated ring, never taken on faith, by one verified-stage loop
-that both runners share and that expands each tail once.
+the truncated ring, never taken on faith, by one stage checker that
+both runners share and that expands each tail once; a large run's
+later stages are checked in one forked worker process.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import os
+import signal
+import threading
 from dataclasses import dataclass, replace
-from itertools import islice
 
 from .pentagonal import g_minus
 from .series import (TruncatedSeries, _div_binomial_inplace, _require_int,
@@ -205,11 +207,32 @@ def expand_tail(t: TailFamily, order: int) -> TruncatedSeries:
     = order - base, each one in-place division by (1 - x^K) inside the
     output list: level K is its suffix from order - p_K, a head, then
     F_(K+1) from d + K past it, divided from order - p_K + K. The
-    verified-stage loop takes the same list, already in the tail's
-    series sign, from ``_tail_coeffs``.
+    stage checker takes the same list, already in the tail's series
+    sign, from ``_tail_coeffs``.
     """
     _require_int(order, "order")
     return TruncatedSeries(tuple(_tail_coeffs(t, order, 1)))
+
+
+def _levels(t: TailFamily, order: int) -> list[tuple[int, int]]:
+    """The levels (K, p_K) of the tail's expansion at ``order``, outermost first.
+
+    These are K = step, step + 1, ... while p_K >= 0. A level with
+    p_K >= K divides by (1 - x^K), updating p_K + 1 - K entries; the
+    level after the last such one, if p_K >= 0 there, is only its head.
+    """
+    d = t.step
+    levels = []
+    k, p = d, order - t.base
+    while p >= 0:
+        levels.append((k, p))
+        k, p = k + 1, p - d - k
+    return levels
+
+
+def _updates(t: TailFamily, order: int) -> int:
+    """The coefficient updates ``_tail_coeffs`` makes for the tail at ``order``."""
+    return sum(p + 1 - k for k, p in _levels(t, order) if p >= k)
 
 
 def _tail_coeffs(t: TailFamily, order: int, sign: int) -> list[int]:
@@ -220,25 +243,29 @@ def _tail_coeffs(t: TailFamily, order: int, sign: int) -> list[int]:
     are linear, and no pass negates a list.
     """
     out = _zeros(order)
-    depth = order - t.base
-    if depth < 0:
-        return out
-    d = t.step
-    levels = []
-    k, p = d, depth
-    while p >= k:
-        levels.append((k, p))
-        k, p = k + 1, p - d - k
-    head = -sign if len(levels) % 2 else sign
-    if p >= 0:
-        out[order - p] = head
+    levels = _levels(t, order)
+    head = sign if len(levels) % 2 else -sign
     for k, p in reversed(levels):
-        head = -head
         out[order - p] = head
-        _div_binomial_inplace(out, k, order - p + k)
-    if not t.includes_bare_head:
+        if p >= k:
+            _div_binomial_inplace(out, k, order - p + k)
+        head = -head
+    if levels and not t.includes_bare_head:
         out[t.base] -= sign
     return out
+
+
+def _stage_rhs(record: EmissionRecord, nxt: list[int],
+               order: int) -> list[int] | None:
+    """s1*x^e1 + s2*x^e2 + X_(s+1) at ``order``, None if ``nxt`` stops short."""
+    if len(nxt) <= order:
+        return None
+    want = nxt[:order + 1]
+    if record.first_exponent <= order:
+        want[record.first_exponent] += record.first_sign
+    if record.second_exponent <= order:
+        want[record.second_exponent] += record.second_sign
+    return want
 
 
 def _stage_holds(lhs: list[int], record: EmissionRecord,
@@ -252,15 +279,7 @@ def _stage_holds(lhs: list[int], record: EmissionRecord,
     (-1)^stage. A longer ``nxt`` is cut to that order, which is exact; a
     shorter one cannot show the identity, so it fails.
     """
-    order = len(lhs) - 1
-    if len(nxt) <= order:
-        return False
-    want = nxt[:order + 1]
-    if record.first_exponent <= order:
-        want[record.first_exponent] += record.first_sign
-    if record.second_exponent <= order:
-        want[record.second_exponent] += record.second_sign
-    return lhs == want
+    return lhs == _stage_rhs(record, nxt, len(lhs) - 1)
 
 
 def _step_order(t: TailFamily, order: int | None) -> int:
@@ -268,25 +287,133 @@ def _step_order(t: TailFamily, order: int | None) -> int:
     return g_minus(t.stage + 2) + 5 if order is None else order
 
 
-def _verified_stages(t: TailFamily, order: int | None
-                     ) -> Iterator[tuple[EmissionRecord, TailFamily]]:
-    """Reduce from ``t`` without end, yielding each checked (record, next tail).
+def _signed_tail(t: TailFamily, order: int | None) -> list[int]:
+    """X = (-1)^stage times the tail, expanded at its step order."""
+    return _tail_coeffs(t, _step_order(t, order), t.contribution_sign)
 
-    Each tail is expanded once, at its step order and in its series
-    sign (-1)^stage, for both of its steps; the two signs alternate, so
-    every stage check is one list comparison.
+
+def _first_failure(tails: list[TailFamily], records: list[EmissionRecord],
+                   order: int | None, lo: int, hi: int) -> int:
+    """The first stage index in [lo, hi) whose identity fails, else ``hi``.
+
+    Stage i checks ``tails[i]`` against ``records[i]`` and ``tails[i +
+    1]``. Each tail is expanded once, in its series sign, for both of
+    its stages; the two signs alternate, so every check is one list
+    comparison.
     """
-    lhs = _tail_coeffs(t, _step_order(t, order), t.contribution_sign)
-    while True:
-        record, nxt = reduce_step(t)
-        nxt_coeffs = _tail_coeffs(nxt, _step_order(nxt, order),
-                                  nxt.contribution_sign)
-        if not _stage_holds(lhs, record, nxt_coeffs):
-            raise StageVerificationError(
-                f"variant {t.variant} stage {t.stage} failed its identity "
-                f"check at order {len(lhs) - 1}")
-        yield record, nxt
-        t, lhs = nxt, nxt_coeffs
+    lhs = _signed_tail(tails[lo], order)
+    for i in range(lo, hi):
+        nxt = _signed_tail(tails[i + 1], order)
+        if not _stage_holds(lhs, records[i], nxt):
+            return i
+        lhs = nxt
+    return hi
+
+
+# Kernel updates from which a run's stages are checked in two processes.
+# A fork, pipe, kill and reap cost about 3 ms; on a 2-vCPU Xeon (Python
+# 3.11.7, medians of seven alternating best-of-five calls) the split
+# took 1.5x the serial time at 65k updates (order 500), 0.9-1.2x at
+# 150k-210k (800-900) and 0.7-0.9x at 260k-320k (1000-1100).
+_WORKER_UPDATES = 200_000
+
+
+def _use_worker(updates: int) -> bool:
+    """Whether a run of ``updates`` kernel updates should fork a worker.
+
+    Forking a process that runs other threads can copy a lock another
+    thread holds (and warns from Python 3.12), so only a single-threaded
+    process with a second CPU forks.
+    """
+    if (updates < _WORKER_UPDATES or not hasattr(os, "fork")
+            or threading.active_count() != 1):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+def _first_failure_forked(tails: list[TailFamily],
+                          records: list[EmissionRecord],
+                          order: int | None, mid: int) -> int:
+    """``_first_failure`` over every stage, [mid, n) in a forked worker.
+
+    The worker writes its answer to a pipe and leaves with ``os._exit``;
+    if the fork fails, or the worker exits without answering, this
+    process checks that range itself. A failure in [0, mid) is the
+    first one, so the worker's answer is not awaited. However this
+    returns or raises, the worker is killed and reaped first.
+    """
+    n = len(records)
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        pid = None
+    if pid == 0:
+        try:
+            os.close(read_end)
+            answer = _first_failure(tails, records, order, mid, n)
+            os.write(write_end, b"%d" % answer)
+        finally:
+            os._exit(0)
+    try:
+        os.close(write_end)
+        failed = _first_failure(tails, records, order, 0, mid)
+        if failed == mid:
+            # one write of a few bytes to a pipe arrives whole, or not at all
+            answer = os.read(read_end, 32)
+            failed = (int(answer) if answer
+                      else _first_failure(tails, records, order, mid, n))
+        return failed
+    finally:
+        os.close(read_end)
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _check_stages(tails: list[TailFamily], records: list[EmissionRecord],
+                  order: int | None) -> None:
+    """Check every stage; raise StageVerificationError at the first that fails.
+
+    ``tails`` holds the n + 1 tails of the n stages in ``records``. A
+    run worth a worker is cut into two contiguous ranges of about equal
+    kernel updates, the boundary tail expanded in both processes.
+    """
+    n = len(records)
+    work, total = [], 0  # work[i]: the updates of tails[0..i]
+    for t in tails:
+        total += _updates(t, _step_order(t, order))
+        work.append(total)
+    if n > 1 and _use_worker(total):
+        mid = min(range(1, n),
+                  key=lambda m: max(work[m], total - work[m - 1]))
+        failed = _first_failure_forked(tails, records, order, mid)
+    else:
+        failed = _first_failure(tails, records, order, 0, n)
+    if failed < n:
+        raise _stage_error(tails[failed], records[failed], tails[failed + 1],
+                           order)
+
+
+def _stage_error(t: TailFamily, record: EmissionRecord, nxt: TailFamily,
+                 order: int | None) -> StageVerificationError:
+    """The failure of the stage that reduces ``t``, read off its two tails
+    expanded again, so it reads the same whichever process found it.
+
+    It names the first exponent at which the two sides of the tail's own
+    equation, tail = (tail_signs monomials) - next, differ: the series
+    sign (-1)^stage is taken back out of both.
+    """
+    lhs = _signed_tail(t, order)
+    rhs = _stage_rhs(record, _signed_tail(nxt, order), len(lhs) - 1)
+    e = next(e for e, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+    c = t.contribution_sign
+    return StageVerificationError(
+        f"variant {t.variant} stage {t.stage} failed its identity check at "
+        f"order {len(lhs) - 1}: first mismatch at x^{e}: tail {c * lhs[e]}, "
+        f"monomials minus next tail {c * rhs[e]}")
 
 
 def replay_stages(variant: int, stages: int,
@@ -313,8 +440,15 @@ def replay_stages(variant: int, stages: int,
             raise ValueError(
                 f"stage {t.stage - 1} needs order >= {t.leading_exponent} "
                 f"(its next tail's leading exponent), got {order}")
-    steps = _verified_stages(first, order)
-    return [record for record, _ in islice(steps, stages)]
+        # an order no list can hold fails here, before the stages are listed
+        _zeros(order)
+    tails, records = [first], []
+    for _ in range(stages):
+        record, t = reduce_step(tails[-1])
+        records.append(record)
+        tails.append(t)
+    _check_stages(tails, records, order)
+    return records
 
 
 def run_telescope(variant: int, order: int) -> DerivationTrace:
@@ -326,10 +460,13 @@ def run_telescope(variant: int, order: int) -> DerivationTrace:
     _require_int(order, "order")
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
-    t = initial_tail(variant)
-    steps = _verified_stages(t, order)
-    emissions: list[EmissionRecord] = []
-    while t.leading_exponent <= order:
-        record, t = next(steps)
-        emissions.append(record)
-    return DerivationTrace(variant, order, emissions=tuple(emissions), residual=t)
+    # an order no list can hold fails here, before the stages are listed
+    _zeros(order)
+    tails, records = [initial_tail(variant)], []
+    while tails[-1].leading_exponent <= order:
+        record, t = reduce_step(tails[-1])
+        records.append(record)
+        tails.append(t)
+    _check_stages(tails, records, order)
+    return DerivationTrace(variant, order, emissions=tuple(records),
+                           residual=tails[-1])

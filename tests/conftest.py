@@ -23,6 +23,13 @@ def broken_reduce_step(monkeypatch):
 
 
 @pytest.fixture
+def serial_stages(monkeypatch):
+    """Check every telescope stage in this process, so spies see each
+    expansion: no run forks a worker for its later stages."""
+    monkeypatch.setattr(pentagon.telescope, "_use_worker", lambda updates: False)
+
+
+@pytest.fixture
 def division_updates(monkeypatch):
     """Count the work of every ``_div_binomial_inplace`` call the package
     makes: one entry per call, the len(coeffs) - start coefficients it

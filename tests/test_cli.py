@@ -4,8 +4,10 @@ import hashlib
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -141,6 +143,17 @@ def test_telescope_failed_step_exits_1(capsys, broken_reduce_step, mode):
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("verification failed: variant ")
+
+
+def test_telescope_failed_step_names_the_first_mismatch(capsys,
+                                                      broken_reduce_step):
+    code = main(["telescope", "--variant", "1", "--order", "60"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (
+        "verification failed: variant 1 stage 1 failed its identity check "
+        "at order 60: first mismatch at x^7: tail -1, monomials minus next "
+        "tail 0\n")
 
 
 def test_telescope_stages_order_below_floor_exits_2(capsys):
@@ -431,6 +444,29 @@ def test_a_closed_stdout_pipe_exits_141_quietly():
     assert first == b"0 1\n"
     assert process.returncode == 141
     assert err == b""
+
+
+def test_ctrl_c_exits_130_quietly():
+    # used to end in a KeyboardInterrupt traceback; this run takes minutes,
+    # and its later stages run in a forked worker that must not outlive it
+    stub = ("import sys; from pentagon.cli import entry; "
+            "sys.argv[0] = 'pentagon'; print(flush=True); entry()")
+    process = subprocess.Popen(
+        [sys.executable, "-c", stub, "telescope", "--variant", "1",
+         "--stages", "3000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=_env_for_imported_package())
+    try:
+        assert process.stdout.readline() == b"\n"
+        time.sleep(1)
+        process.send_signal(signal.SIGINT)
+        # both pipes close only once the worker, which holds them too, is gone
+        out, err = process.communicate(timeout=60)
+    finally:
+        process.kill()
+        process.wait()
+    assert process.returncode == 130
+    assert (out, err) == (b"", b"")
 
 
 def test_one_process_reuses_its_parser_and_writes_what_fresh_ones_do(

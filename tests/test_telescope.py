@@ -1,6 +1,10 @@
 """Replay of the two derivations: per-step identities, traces, mutations."""
 
 import dataclasses
+import errno
+import os
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,7 +145,8 @@ def test_expand_tail_matches_forward_sum(tail_and_order):
 
 
 @pytest.mark.parametrize("variant", (1, 2))
-def test_expand_tail_matches_forward_sum_on_every_stage(monkeypatch, variant):
+def test_expand_tail_matches_forward_sum_on_every_stage(monkeypatch, serial_stages,
+                                                        variant):
     expansions = []
     tail_coeffs = pentagon.telescope._tail_coeffs
 
@@ -208,7 +213,8 @@ def test_expand_tail_divides_once_per_level(monkeypatch):
     (lambda: run_telescope(1, 2500), 1345, 1_668_669),
     (lambda: run_telescope(2, 2500), 1276, 1_555_670),
 ], ids=("expand_tail", "variant_1", "variant_2"))
-def test_telescope_division_work_budget(division_updates, run, calls, updates):
+def test_telescope_division_work_budget(division_updates, serial_stages, run,
+                                        calls, updates):
     # level K updates only the p_K + 1 - K entries of its suffix past
     # the first K; one entry more or less per level changes the sum
     run()
@@ -493,14 +499,16 @@ def test_replay_stages_rejects_order_below_last_stage(monkeypatch, variant,
 @pytest.mark.parametrize("variant", (1, 2))
 def test_replay_stages_finds_the_last_tail_in_closed_form(monkeypatch, variant):
     # the order check agrees with a walk of reduce_step at every count;
-    # no stage runs, so only the check can raise
-    monkeypatch.setattr(pentagon.telescope, "_verified_stages",
-                        lambda t, order: iter(()))
+    # no stage is checked, so only the order check can raise
+    monkeypatch.setattr(pentagon.telescope, "_check_stages",
+                        lambda tails, records, order: None)
     t = initial_tail(variant)
+    records = []
     for stages in range(1, 41):
-        _, t = reduce_step(t)
+        record, t = reduce_step(t)
+        records.append(record)
         needed = t.leading_exponent
-        assert replay_stages(variant, stages, needed) == []
+        assert replay_stages(variant, stages, needed) == records
         with pytest.raises(ValueError, match=(
                 f"^stage {t.stage - 1} needs order >= {needed} "
                 rf"\(its next tail's leading exponent\), got {needed - 1}$")):
@@ -518,7 +526,7 @@ def test_replay_stages_detects_broken_step(broken_reduce_step):
 
 
 @pytest.mark.parametrize("variant", (1, 2))
-def test_every_tail_is_expanded_once(monkeypatch, variant):
+def test_every_tail_is_expanded_once(monkeypatch, serial_stages, variant):
     expanded = []
 
     tail_coeffs = pentagon.telescope._tail_coeffs
@@ -547,3 +555,211 @@ def test_residual_tail_is_beyond_order():
             if trace.emissions:
                 last = trace.emissions[-1]
                 assert last.first_exponent <= order
+
+
+def run_updates(variant: int, order: int) -> int:
+    """The weights of the tails a full derivation at this order expands."""
+    tails = [initial_tail(variant)]
+    while tails[-1].leading_exponent <= order:
+        tails.append(reduce_step(tails[-1])[1])
+    return sum(pentagon.telescope._updates(t, order) for t in tails)
+
+
+@pytest.mark.parametrize("variant, updates", ((1, 1_668_669), (2, 1_555_670)))
+def test_each_tail_is_weighed_by_its_kernel_updates(variant, updates):
+    # the split is made from these weights; the division work budget
+    # pins the same totals from the kernel calls themselves
+    assert run_updates(variant, 2500) == updates
+
+
+@pytest.fixture
+def parent_ranges(monkeypatch):
+    """The (lo, hi) of every stage range this process checks; a forked
+    worker's calls land in its own copy of the list."""
+    ranges = []
+    first_failure = pentagon.telescope._first_failure
+
+    def recorded(tails, records, order, lo, hi):
+        ranges.append((lo, hi))
+        return first_failure(tails, records, order, lo, hi)
+
+    monkeypatch.setattr(pentagon.telescope, "_first_failure", recorded)
+    return ranges
+
+
+def use_worker(monkeypatch, choice: bool) -> None:
+    monkeypatch.setattr(pentagon.telescope, "_use_worker", lambda updates: choice)
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("variant", (1, 2))
+@pytest.mark.parametrize("order", (500, 1500), ids=("below", "above"))
+def test_a_worker_returns_what_the_serial_check_returns(monkeypatch, parent_ranges,
+                                                        variant, order):
+    # order 500 is below the worker's break-even and 1500 above it; the
+    # split path is forced on both sides, and must change nothing
+    limit = pentagon.telescope._WORKER_UPDATES
+    assert (run_updates(variant, order) >= limit) == (order == 1500)
+    runs = (lambda: run_telescope(variant, order),
+            lambda: replay_stages(variant, 12, order),
+            lambda: replay_stages(variant, 30))
+    for run in runs:
+        use_worker(monkeypatch, False)
+        serial = run()
+        use_worker(monkeypatch, True)
+        parent_ranges.clear()
+        split = run()
+        assert split == serial
+        if isinstance(split, DerivationTrace):
+            assert split.residual == serial.residual
+            assert split.reconstruct() == serial.reconstruct()
+            stages = len(split.emissions)
+        else:
+            stages = len(split)
+        # this process checked only the early stages
+        [(lo, mid)] = parent_ranges
+        assert lo == 0 < mid < stages
+        assert_no_child_left()
+
+
+def test_a_worker_is_used_for_a_large_run_in_one_thread_with_two_cpus(monkeypatch):
+    use = pentagon.telescope._use_worker
+    limit = pentagon.telescope._WORKER_UPDATES
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert threading.active_count() == 1
+    assert use(limit)
+    assert not use(limit - 1)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert not use(limit)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert not use(limit)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.delattr(os, "fork")
+    assert not use(limit)
+
+
+def flip_first_sign(monkeypatch, stages) -> None:
+    """reduce_step records the wrong first sign at these stages, so those
+    stage checks fail, and no other."""
+    reduce = pentagon.telescope.reduce_step
+
+    def flipped(t):
+        record, nxt = reduce(t)
+        if record.stage in stages:
+            record = dataclasses.replace(record, first_sign=-record.first_sign)
+        return record, nxt
+
+    monkeypatch.setattr(pentagon.telescope, "reduce_step", flipped)
+
+
+@pytest.mark.parametrize("variant", (1, 2))
+def test_a_failure_reads_the_same_whichever_process_finds_it(
+        monkeypatch, parent_ranges, variant):
+    records = run_telescope(variant, 2500).emissions
+    first, last = records[0].stage, records[-1].stage
+    for bad, named in (({last}, last), ({first, last}, first)):
+        flip_first_sign(monkeypatch, bad)
+        messages = []
+        for worker in (False, True):
+            use_worker(monkeypatch, worker)
+            parent_ranges.clear()
+            with pytest.raises(StageVerificationError) as failure:
+                run_telescope(variant, 2500)
+            messages.append(str(failure.value))
+            assert_no_child_left()
+        # with the worker, this process checked only the early stages, so
+        # the last stage's failure came from the worker
+        [(lo, mid)] = parent_ranges
+        assert lo == 0 < mid < len(records)
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(f"variant {variant} stage {named} failed "
+                                      "its identity check at order 2500: ")
+
+
+def test_telescope_failure_names_the_first_mismatch(broken_reduce_step):
+    # variant 1's next tail, x^5 shifted to x^6, loses x^7 from "- B"
+    for run, order in ((lambda: replay_stages(1, 2), 17),
+                       (lambda: run_telescope(1, 60), 60)):
+        with pytest.raises(StageVerificationError, match=(
+                f"^variant 1 stage 1 failed its identity check at order {order}: "
+                r"first mismatch at x\^7: tail -1, monomials minus next tail 0$")):
+            run()
+    with pytest.raises(StageVerificationError, match=(
+            "^variant 2 stage 2 failed its identity check at order 27: "
+            r"first mismatch at x\^12: tail -1, monomials minus next tail 0$")):
+        replay_stages(2, 2)
+
+
+def test_no_worker_outlives_its_run(monkeypatch):
+    use_worker(monkeypatch, True)
+    records = run_telescope(1, 1500).emissions
+    assert_no_child_left()
+    for bad in ({records[0].stage}, {records[-1].stage}):
+        flip_first_sign(monkeypatch, bad)
+        with pytest.raises(StageVerificationError):
+            run_telescope(1, 1500)
+        assert_no_child_left()
+
+
+def test_ctrl_c_kills_the_worker_rather_than_await_it(monkeypatch):
+    use_worker(monkeypatch, True)
+    first_failure = pentagon.telescope._first_failure
+    parent = os.getpid()
+
+    def interrupted(tails, records, order, lo, hi):
+        if os.getpid() != parent:
+            time.sleep(60)
+        elif lo == 0:
+            raise KeyboardInterrupt
+        return first_failure(tails, records, order, lo, hi)
+
+    monkeypatch.setattr(pentagon.telescope, "_first_failure", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_telescope(1, 1500)
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("breakage", ("fork-fails", "worker-exits-silently"))
+def test_the_later_stages_fall_back_to_this_process(monkeypatch, parent_ranges,
+                                                    breakage):
+    use_worker(monkeypatch, False)
+    serial = run_telescope(1, 1500)
+    use_worker(monkeypatch, True)
+    if breakage == "fork-fails":
+        def no_fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", no_fork)
+    else:
+        first_failure = pentagon.telescope._first_failure
+        parent = os.getpid()
+
+        def silent(tails, records, order, lo, hi):
+            if os.getpid() != parent:
+                os._exit(0)
+            return first_failure(tails, records, order, lo, hi)
+
+        monkeypatch.setattr(pentagon.telescope, "_first_failure", silent)
+    parent_ranges.clear()
+    assert run_telescope(1, 1500) == serial
+    [(lo, mid), (mid_again, n)] = parent_ranges
+    assert lo == 0 < mid == mid_again < n == len(serial.emissions)
+    assert_no_child_left()
+    # a failure in the later stages is still found, here
+    flip_first_sign(monkeypatch, {serial.emissions[-1].stage})
+    with pytest.raises(StageVerificationError, match=(
+            f"^variant 1 stage {serial.emissions[-1].stage} failed")):
+        run_telescope(1, 1500)
+    assert_no_child_left()
