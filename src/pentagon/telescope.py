@@ -18,11 +18,9 @@ later stages are checked in one forked worker process.
 
 from __future__ import annotations
 
-import os
-import signal
-import threading
 from dataclasses import dataclass, replace
 
+from ._worker import _forked, _use_worker
 from .pentagonal import g_minus
 from .series import (TruncatedSeries, _div_binomial_inplace, _require_int,
                      _zeros)
@@ -310,69 +308,6 @@ def _first_failure(tails: list[TailFamily], records: list[EmissionRecord],
     return hi
 
 
-# Kernel updates from which a run's stages are checked in two processes.
-# A fork, pipe, kill and reap cost about 3 ms; on a 2-vCPU Xeon (Python
-# 3.11.7, medians of seven alternating best-of-five calls) the split
-# took 1.5x the serial time at 65k updates (order 500), 0.9-1.2x at
-# 150k-210k (800-900) and 0.7-0.9x at 260k-320k (1000-1100).
-_WORKER_UPDATES = 200_000
-
-
-def _use_worker(updates: int) -> bool:
-    """Whether a run of ``updates`` kernel updates should fork a worker.
-
-    Forking a process that runs other threads can copy a lock another
-    thread holds (and warns from Python 3.12), so only a single-threaded
-    process with a second CPU forks.
-    """
-    if (updates < _WORKER_UPDATES or not hasattr(os, "fork")
-            or threading.active_count() != 1):
-        return False
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) >= 2
-    return (os.cpu_count() or 1) >= 2
-
-
-def _first_failure_forked(tails: list[TailFamily],
-                          records: list[EmissionRecord],
-                          order: int | None, mid: int) -> int:
-    """``_first_failure`` over every stage, [mid, n) in a forked worker.
-
-    The worker writes its answer to a pipe and leaves with ``os._exit``;
-    if the fork fails, or the worker exits without answering, this
-    process checks that range itself. A failure in [0, mid) is the
-    first one, so the worker's answer is not awaited. However this
-    returns or raises, the worker is killed and reaped first.
-    """
-    n = len(records)
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        pid = None
-    if pid == 0:
-        try:
-            os.close(read_end)
-            answer = _first_failure(tails, records, order, mid, n)
-            os.write(write_end, b"%d" % answer)
-        finally:
-            os._exit(0)
-    try:
-        os.close(write_end)
-        failed = _first_failure(tails, records, order, 0, mid)
-        if failed == mid:
-            # one write of a few bytes to a pipe arrives whole, or not at all
-            answer = os.read(read_end, 32)
-            failed = (int(answer) if answer
-                      else _first_failure(tails, records, order, mid, n))
-        return failed
-    finally:
-        os.close(read_end)
-        if pid is not None:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 def _check_stages(tails: list[TailFamily], records: list[EmissionRecord],
                   order: int | None) -> None:
     """Check every stage; raise StageVerificationError at the first that fails.
@@ -389,7 +324,11 @@ def _check_stages(tails: list[TailFamily], records: list[EmissionRecord],
     if n > 1 and _use_worker(total):
         mid = min(range(1, n),
                   key=lambda m: max(work[m], total - work[m - 1]))
-        failed = _first_failure_forked(tails, records, order, mid)
+        # a failure in [0, mid) is the first, so it does not await the worker
+        with _forked(lambda: _first_failure(tails, records, order, mid, n)) as later:
+            failed = _first_failure(tails, records, order, 0, mid)
+            if failed == mid:
+                failed = later()
     else:
         failed = _first_failure(tails, records, order, 0, n)
     if failed < n:

@@ -14,10 +14,13 @@ k a correct quotient is 1 - x^k + O(x^(k+1)), so the division only
 clears x^k and updates the coefficients above x^(2k): about order^2/4
 updates in all instead of order^2/2, and a single assignment for
 k > order/2. A list without that head, which only a wrong quotient has,
-is divided in full from there on, so every step is exact.
-``full_verification`` reads only the final quotient: division by
-(1 - x^k) is exact and invertible, so the cascade ends at 1 exactly
-when its input is the product. The root check builds
+is divided in full from there on, so every step is exact. As division by
+(1 - x^k) is exact and invertible, the quotient Q_m after step m is the
+product R_m of the factors above m exactly when the input is the
+product P; ``full_verification`` compares the two, R_m built by a forked
+worker while this process divides (in one process m = order, R_m = 1).
+Q_m - R_m is (input - P) times a unit for every m, so a wrong input
+shows at the same first exponent whatever m is. The root check builds
 P_m = prod_(k<=m)(1 - x^k) once through the series kernel
 ``_add_shifted``; summed by exponent mod d, it is exactly P_m in
 Z[x]/(x^d - 1). No root is ever evaluated as a complex number: nothing
@@ -26,13 +29,15 @@ is floating point.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterator
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import islice
 
+from ._worker import _forked, _use_worker
 from .pentagonal import closed_form_series
 from .series import (TruncatedSeries, _add_shifted, _div_binomial_inplace,
-                     _require_int, one, partial_product)
+                     _require_int, _zeros, partial_product, product_range)
 
 # The root sweep does about D^3/6 coefficient updates: about 3 s at
 # D = 500 and 31 s at D = 1000 on a 2-vCPU Xeon.
@@ -105,10 +110,11 @@ def full_verification(order: int, roots_max_d: int = 12) -> list[CheckResult]:
 
     Each check is one exact verdict on its own input. The closed form
     is compared with ``partial_product(order, order)``, the product
-    ``expand`` prints; the cascade of the closed form must end at 1;
-    the root product must vanish at each primitive d-th root exactly
-    from m = d on, for d <= ``roots_max_d`` (at most 500). The detail
-    of a failing check names its first mismatch.
+    ``expand`` prints; the cascade of the closed form after step m must
+    equal the product of the factors above m (m = order, that product
+    1, in one process); the root product must vanish at each primitive
+    d-th root exactly from m = d on, for d <= ``roots_max_d`` (at most
+    500). The detail of a failing check names its first mismatch.
     """
     _require_int(order, "order")
     _require_int(roots_max_d, "roots_max_d")
@@ -118,18 +124,29 @@ def full_verification(order: int, roots_max_d: int = 12) -> list[CheckResult]:
         raise ValueError(f"roots_max_d must be >= 1, got {roots_max_d}")
     if roots_max_d > _ROOTS_MAX_D:
         raise ValueError(f"roots_max_d must be <= {_ROOTS_MAX_D}, got {roots_max_d}")
-    results = []
+    _zeros(order)  # an order no list can hold fails before any fork
+    # cascade step k and sweep factor k each update max(0, order - 2k)
+    # entries: m * (order - m - 1) in steps 1..m, for m <= order/2
+    half = order // 2
+    total = half * (order - half - 1)
+    m = (min(range(half + 1), key=lambda j: abs(total - 2 * j * (order - j - 1)))
+         if _use_worker(total) else order)
 
-    product = partial_product(order, order).coeffs
-    closed = closed_form_series(order)
+    def far_end() -> tuple[int, ...]:
+        return product_range(m + 1, order, order).coeffs
+
+    results = []
+    with _forked(far_end) if m < order else nullcontext(far_end) as answer:
+        product = partial_product(order, order).coeffs
+        closed = closed_form_series(order)
+        quotient = next(islice(_cascade(closed), m, None))
+        remaining = answer()
     e = next((i for i, a in enumerate(closed.coeffs) if a != product[i]), None)
     results.append(CheckResult("closed form equals product", e is None, (
         f"order {order}" if e is None else
         f"first mismatch at x^{e}: closed form {closed[e]}, product {product[e]}")))
 
-    quotient = deque(_cascade(closed), maxlen=1).pop()
-    unit = one(order).coeffs
-    e = next((i for i, a in enumerate(quotient) if a != unit[i]), None)
+    e = next((i for i, a in enumerate(quotient) if a != remaining[i]), None)
     results.append(CheckResult("division cascade", e is None, (
         f"order {order}, final quotient 1" if e is None else
         f"final quotient is not 1: first wrong term at x^{e}")))

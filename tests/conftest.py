@@ -23,10 +23,12 @@ def broken_reduce_step(monkeypatch):
 
 
 @pytest.fixture
-def serial_stages(monkeypatch):
-    """Check every telescope stage in this process, so spies see each
-    expansion: no run forks a worker for its later stages."""
-    monkeypatch.setattr(pentagon.telescope, "_use_worker", lambda updates: False)
+def one_process(monkeypatch):
+    """Keep every telescope and verify run in this process, so spies see
+    all of its work: no run forks a worker for its later stages or for
+    the far end of its division cascade."""
+    for module in (pentagon.telescope, pentagon.verify):
+        monkeypatch.setattr(module, "_use_worker", lambda updates: False)
 
 
 @pytest.fixture

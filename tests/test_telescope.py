@@ -3,12 +3,12 @@
 import dataclasses
 import errno
 import os
-import threading
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pentagon._worker
 import pentagon.telescope
 from pentagon.pentagonal import closed_form_series, g_minus, g_plus
 from pentagon.series import TruncatedSeries, format_series, mul_binomial
@@ -145,7 +145,7 @@ def test_expand_tail_matches_forward_sum(tail_and_order):
 
 
 @pytest.mark.parametrize("variant", (1, 2))
-def test_expand_tail_matches_forward_sum_on_every_stage(monkeypatch, serial_stages,
+def test_expand_tail_matches_forward_sum_on_every_stage(monkeypatch, one_process,
                                                         variant):
     expansions = []
     tail_coeffs = pentagon.telescope._tail_coeffs
@@ -213,7 +213,7 @@ def test_expand_tail_divides_once_per_level(monkeypatch):
     (lambda: run_telescope(1, 2500), 1345, 1_668_669),
     (lambda: run_telescope(2, 2500), 1276, 1_555_670),
 ], ids=("expand_tail", "variant_1", "variant_2"))
-def test_telescope_division_work_budget(division_updates, serial_stages, run,
+def test_telescope_division_work_budget(division_updates, one_process, run,
                                         calls, updates):
     # level K updates only the p_K + 1 - K entries of its suffix past
     # the first K; one entry more or less per level changes the sum
@@ -526,7 +526,7 @@ def test_replay_stages_detects_broken_step(broken_reduce_step):
 
 
 @pytest.mark.parametrize("variant", (1, 2))
-def test_every_tail_is_expanded_once(monkeypatch, serial_stages, variant):
+def test_every_tail_is_expanded_once(monkeypatch, one_process, variant):
     expanded = []
 
     tail_coeffs = pentagon.telescope._tail_coeffs
@@ -602,7 +602,7 @@ def test_a_worker_returns_what_the_serial_check_returns(monkeypatch, parent_rang
                                                         variant, order):
     # order 500 is below the worker's break-even and 1500 above it; the
     # split path is forced on both sides, and must change nothing
-    limit = pentagon.telescope._WORKER_UPDATES
+    limit = pentagon._worker._WORKER_UPDATES
     assert (run_updates(variant, order) >= limit) == (order == 1500)
     runs = (lambda: run_telescope(variant, order),
             lambda: replay_stages(variant, 12, order),
@@ -624,29 +624,6 @@ def test_a_worker_returns_what_the_serial_check_returns(monkeypatch, parent_rang
         [(lo, mid)] = parent_ranges
         assert lo == 0 < mid < stages
         assert_no_child_left()
-
-
-def test_a_worker_is_used_for_a_large_run_in_one_thread_with_two_cpus(monkeypatch):
-    use = pentagon.telescope._use_worker
-    limit = pentagon.telescope._WORKER_UPDATES
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert threading.active_count() == 1
-    assert use(limit)
-    assert not use(limit - 1)
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
-        assert not use(limit)
-    finally:
-        stop.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert not use(limit)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.delattr(os, "fork")
-    assert not use(limit)
 
 
 def flip_first_sign(monkeypatch, stages) -> None:

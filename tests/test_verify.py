@@ -1,10 +1,12 @@
 """Division cascade, root multiplicities, and the bundled check suite."""
 
 import math
+import os
 
 import pytest
 from hypothesis import given, strategies as st
 
+import pentagon._worker
 import pentagon.verify
 from pentagon.pentagonal import closed_form_series
 from pentagon.series import (
@@ -32,11 +34,13 @@ def test_cascade_first_step_strips_first_factor():
 
 
 def test_cascade_intermediates_match_remaining_products():
-    order = 120
-    quotients = cascade_quotients(order)
-    assert len(quotients) == order + 1
-    for m, q in enumerate(quotients):
-        assert q == list(product_range(m + 1, order, order).coeffs), m
+    # full_verification may compare the quotient after any step m with
+    # the product of the factors above m
+    for order in (1, 2, 3, 8, 25, 120):
+        quotients = cascade_quotients(order)
+        assert len(quotients) == order + 1
+        for m, q in enumerate(quotients):
+            assert q == list(product_range(m + 1, order, order).coeffs), (order, m)
 
 
 def test_cascade_starts_every_step_of_the_closed_form_at_2k_plus_1(monkeypatch):
@@ -53,7 +57,7 @@ def test_cascade_starts_every_step_of_the_closed_form_at_2k_plus_1(monkeypatch):
     assert starts == [(k, 2 * k + 1) for k in range(1, 301)]
 
 
-def test_cascade_work_budget(division_updates):
+def test_cascade_work_budget(division_updates, one_process):
     # from 2k + 1 step k updates N - 2k entries, N^2/4 - N/2 in all;
     # full divisions from k would update about N^2/2
     *_, last = pentagon.verify._cascade(closed_form_series(2000))
@@ -85,6 +89,32 @@ def assert_cascade_divides_exactly(series):
 @given(perturbed_closed_forms())
 def test_cascade_yields_the_exact_quotient_of_any_input(series):
     assert_cascade_divides_exactly(series)
+
+
+@st.composite
+def closed_forms_wrong_at(draw):
+    """The closed form at order 2..80 with one coefficient moved by a
+    nonzero amount, and the exponent of that coefficient."""
+    order = draw(st.integers(2, 80))
+    e = draw(st.integers(0, order))
+    coeffs = list(closed_form_series(order).coeffs)
+    coeffs[e] += draw(st.integers(-5, 5).filter(bool))
+    return make_series(coeffs, order), e
+
+
+def first_difference(a, b):
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)
+
+
+@given(closed_forms_wrong_at())
+def test_a_wrong_term_shows_at_its_exponent_whatever_the_split(case):
+    # Q_m - R_m is (input - P)/P_m, a unit times the error, for every m;
+    # m = order is the final quotient against 1
+    series, e = case
+    order = series.order
+    for m, q in enumerate(pentagon.verify._cascade(series)):
+        assert first_difference(
+            q, product_range(m + 1, order, order).coeffs) == e, m
 
 
 def test_cascade_divides_in_full_after_the_first_wrong_head():
@@ -176,6 +206,52 @@ def test_partial_product_value_at_one_is_zero_like():
     assert sum(series.coeffs) == 0
 
 
+def use_worker(monkeypatch, choice: bool) -> None:
+    monkeypatch.setattr(pentagon.verify, "_use_worker", lambda updates: choice)
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def parent_factors(monkeypatch):
+    """The cascade factors this process divides by; a forked worker's
+    calls land in its own copy of the list."""
+    factors = []
+    divide = pentagon.verify._div_binomial_inplace
+
+    def recorded(coeffs, k, *args):
+        factors.append(k)
+        divide(coeffs, k, *args)
+
+    monkeypatch.setattr(pentagon.verify, "_div_binomial_inplace", recorded)
+    return factors
+
+
+@pytest.mark.parametrize("order", (500, 1500), ids=("below", "above"))
+def test_a_worker_returns_what_one_process_returns(monkeypatch, parent_factors,
+                                                  order):
+    # order 500 is below the worker's break-even and 1500 above it; the
+    # split is forced on both sides, and must change nothing
+    half = order // 2
+    updates = half * (order - half - 1)
+    assert (updates >= pentagon._worker._WORKER_UPDATES) == (order == 1500)
+    use_worker(monkeypatch, False)
+    alone = full_verification(order, 8)
+    assert parent_factors == list(range(1, order + 1))
+    use_worker(monkeypatch, True)
+    parent_factors.clear()
+    assert full_verification(order, 8) == alone
+    assert_no_child_left()
+    # this process divided up to the step that splits the updates evenly
+    m = len(parent_factors)
+    assert parent_factors == list(range(1, m + 1))
+    assert abs(2 * m * (order - m - 1) - updates) <= order
+    assert 0.14 < m / order < 0.15
+
+
 def corrupt_product(monkeypatch):
     original = pentagon.verify.partial_product
 
@@ -215,15 +291,20 @@ def skip_root_factor(monkeypatch):
 ), ids=("product", "quotient", "root-factor"))
 def test_each_corruption_fails_only_its_own_check(monkeypatch, corrupt, failing,
                                                   detail):
-    # each check reads its own input: the product, the cascade's final
-    # quotient, or the root product
+    # each check reads its own input: the product, the cascade's quotient
+    # against the factors left, or the root product; above the worker's
+    # break-even the detail reads the same with or without the worker
     corrupt(monkeypatch)
-    checks = full_verification(60, 6)
-    assert [c.passed for c in checks] == [i != failing for i in range(3)]
-    assert checks[failing].detail == detail
+    for order, worker in ((60, False), (1500, False), (1500, True)):
+        use_worker(monkeypatch, worker)
+        checks = full_verification(order, 6)
+        assert [c.passed for c in checks] == [i != failing for i in range(3)]
+        assert checks[failing].detail == detail
+        assert_no_child_left()
 
 
-def test_full_verification_adds_shifted_only_for_the_root_product(monkeypatch):
+def test_full_verification_adds_shifted_only_for_the_root_product(monkeypatch,
+                                                                  one_process):
     calls = []
     original = pentagon.verify._add_shifted
 
@@ -237,7 +318,7 @@ def test_full_verification_adds_shifted_only_for_the_root_product(monkeypatch):
     assert calls == [(d, -1) for d in range(1, 7)]
 
 
-def test_full_verification_divides_once_per_factor(monkeypatch):
+def test_full_verification_divides_once_per_factor(monkeypatch, one_process):
     factors = []
     original = pentagon.verify._div_binomial_inplace
 
