@@ -68,9 +68,7 @@ def reciprocal_series(order: int) -> TruncatedSeries:
 
 def partitions_recurrence(n_max: int) -> PartitionTable:
     """p(0..n_max) via the sparse recurrence, O(n^1.5) integer additions."""
-    _require_int(n_max, "n_max")
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    _require_int(n_max, "n_max", 0)
     return PartitionTable(tuple(_reciprocal_coeffs(n_max)))
 
 
@@ -88,9 +86,7 @@ def partitions_oracle_dp(n_max: int) -> PartitionTable:
     Shares nothing with the recurrence: no pentagonal numbers, no
     subtraction.
     """
-    _require_int(n_max, "n_max")
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    _require_int(n_max, "n_max", 0)
     total = _zeros(n_max)
     total[0] = 1
     a = total[:]
@@ -108,9 +104,7 @@ def partitions_enumerate(n: int) -> int:
     Descending-parts recursion; every leaf is one partition. Guarded at
     n = 45 to keep the walk around two million nodes.
     """
-    _require_int(n, "n")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _require_int(n, "n", 0)
     if n > ENUMERATION_LIMIT:
         raise ValueError(
             f"enumeration of n = {n} would walk every partition "

@@ -37,9 +37,7 @@ class PentagonalPair:
     sign: int
 
     def __post_init__(self) -> None:
-        _require_int(self.n, "n")
-        if self.n < 1:
-            raise ValueError(f"pair index must be >= 1, got {self.n}")
+        _require_int(self.n, "n", 1)
 
 
 def pentagonal_pair(n: int) -> PentagonalPair:
@@ -61,9 +59,7 @@ def pentagonal_terms_upto(order: int) -> list[tuple[int, int]]:
     for every n, so the walk emits strictly ascending exponents without
     sorting.
     """
-    _require_int(order, "order")
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    _require_int(order, "order", 0)
     terms = [(0, 1)]
     for pair in pentagonal_pairs_upto(order):
         terms.append((pair.g_minus, pair.sign))

@@ -65,11 +65,16 @@ class TruncatedSeries:
         return [(e, c) for e, c in enumerate(self.coeffs) if c]
 
 
-def _require_int(value: object, name: str) -> None:
+def _require_int(value: object, name: str,
+                 low: int | None = None, high: int | None = None) -> None:
     # type() rather than isinstance(): True would pass as 1, and a float
     # would reach the kernels as a non-integer coefficient or slice bound
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be <= {high}, got {value}")
 
 
 def _require_int_tuple(values: object, name: str) -> None:
@@ -107,11 +112,9 @@ def one(order: int) -> TruncatedSeries:
 
 def monomial(exponent: int, order: int, coeff: int = 1) -> TruncatedSeries:
     """coeff * x^exponent, or the zero series if the exponent exceeds the order."""
-    _require_int(exponent, "exponent")
+    _require_int(exponent, "exponent", 0)
     _require_int(order, "order")
     _require_int(coeff, "coeff")
-    if exponent < 0:
-        raise ValueError(f"exponent must be >= 0, got {exponent}")
     out = _zeros(order)
     if exponent <= order:
         out[exponent] = coeff
@@ -155,10 +158,8 @@ def _add_shifted(out: list[int], e: int, c: int, a: Iterable[int]) -> None:
 
 def mul_binomial(a: TruncatedSeries, k: int, c: int) -> TruncatedSeries:
     """Multiply by the sparse factor (1 + c*x^k) in O(order) coefficient ops."""
-    _require_int(k, "k")
+    _require_int(k, "k", 1)
     _require_int(c, "c")
-    if k < 1:
-        raise ValueError(f"binomial exponent must be >= 1, got {k}")
     out = list(a.coeffs)
     if c:
         _add_shifted(out, k, c, a.coeffs)
@@ -196,9 +197,7 @@ def _div_binomial_inplace(coeffs: list[int], k: int, start: int | None = None) -
 
 def div_binomial(a: TruncatedSeries, k: int) -> TruncatedSeries:
     """Exact quotient by the unit (1 - x^k)."""
-    _require_int(k, "k")
-    if k < 1:
-        raise ValueError(f"binomial exponent must be >= 1, got {k}")
+    _require_int(k, "k", 1)
     out = list(a.coeffs)
     _div_binomial_inplace(out, k)
     return TruncatedSeries(tuple(out))
@@ -237,8 +236,7 @@ def _div_sparse_inplace(coeffs: list[int], terms: Iterable[tuple[int, int]]) -> 
 
 def _zeros(order: int) -> list[int]:
     """order + 1 zeros, or ValueError naming an order below 0 or too large to hold."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    _require_int(order, "order", 0)
     try:
         return [0] * (order + 1)
     except (MemoryError, OverflowError):
@@ -291,11 +289,9 @@ def product_range(first: int, last: int, order: int) -> TruncatedSeries:
     value is assumed, so the oracle does not rest on Euler's theorem; a
     wrong or dense result would only cost more rows and passes.
     """
-    _require_int(first, "first")
+    _require_int(first, "first", 1)
     _require_int(last, "last")
     _require_int(order, "order")
-    if first < 1:
-        raise ValueError(f"factor range must start at >= 1, got {first}")
     cur = _zeros(order)
     cur[0] = 1
     if first == 1 and last >= order:
@@ -336,9 +332,7 @@ def partial_product(m: int, order: int) -> TruncatedSeries:
     several block lengths. With m < order it is the single largest-first
     sweep, about order^2/4 updates at most.
     """
-    _require_int(m, "m")
-    if m < 1:
-        raise ValueError(f"need at least one factor, got m={m}")
+    _require_int(m, "m", 1)
     return product_range(1, m, order)
 
 

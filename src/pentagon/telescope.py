@@ -48,16 +48,13 @@ class TailFamily:
     includes_bare_head: bool
 
     def __post_init__(self) -> None:
-        for name in ("variant", "stage", "base", "step"):
-            _require_int(getattr(self, name), name)
+        _require_int(self.variant, "variant", 1, 2)
+        for name in ("stage", "base", "step"):
+            _require_int(getattr(self, name), name, 1)
         # a truthy string or 1 would pass an if-test as True
         if type(self.includes_bare_head) is not bool:
             raise ValueError("includes_bare_head must be a bool, "
                              f"got {self.includes_bare_head!r}")
-        if self.variant not in (1, 2):
-            raise ValueError(f"variant must be 1 or 2, got {self.variant}")
-        if self.stage < 1 or self.base < 1 or self.step < 1:
-            raise ValueError("stage, base and step must all be >= 1")
 
     @property
     def leading_exponent(self) -> int:
@@ -86,13 +83,13 @@ class EmissionRecord:
     second_sign: int
 
     def __post_init__(self) -> None:
-        for name in ("stage", "first_exponent", "second_exponent",
-                     "first_sign", "second_sign"):
-            _require_int(getattr(self, name), name)
-        if self.stage < 1:
-            raise ValueError(f"stage must be >= 1, got {self.stage}")
+        _require_int(self.stage, "stage", 1)
+        # a negative exponent would wrap to the top of reconstruct's list
+        _require_int(self.first_exponent, "first_exponent", 0)
+        _require_int(self.second_exponent, "second_exponent", 0)
         for name in ("first_sign", "second_sign"):
             sign = getattr(self, name)
+            _require_int(sign, name)
             if sign not in (-1, 1):
                 raise ValueError(f"{name} must be -1 or 1, got {sign}")
 
@@ -116,10 +113,8 @@ class DerivationTrace:
     residual: TailFamily
 
     def __post_init__(self) -> None:
-        _require_int(self.variant, "variant")
+        _require_int(self.variant, "variant", 1, 2)
         _require_int(self.order, "order")
-        if self.variant not in PREFIX_TERMS:
-            raise ValueError(f"variant must be 1 or 2, got {self.variant}")
 
     @property
     def prefix(self) -> tuple[tuple[int, int], ...]:
@@ -148,12 +143,10 @@ PREFIX_TERMS = {1: ((0, 1), (1, -1)), 2: ((0, 1), (1, -1), (2, -1))}
 
 def initial_tail(variant: int) -> TailFamily:
     """The tail the derivation starts from, after peeling the prefix."""
-    _require_int(variant, "variant")
+    _require_int(variant, "variant", 1, 2)
     if variant == 1:
         return TailFamily(1, stage=1, base=1, step=1, includes_bare_head=False)
-    if variant == 2:
-        return TailFamily(2, stage=2, base=5, step=2, includes_bare_head=True)
-    raise ValueError(f"variant must be 1 or 2, got {variant}")
+    return TailFamily(2, stage=2, base=5, step=2, includes_bare_head=True)
 
 
 def reduce_step(t: TailFamily) -> tuple[EmissionRecord, TailFamily]:
@@ -365,11 +358,9 @@ def replay_stages(variant: int, stages: int,
     stage's next tail, or that stage would compare only zeros; that
     tail comes from reduce_step in closed form, as fast for any count.
     """
-    _require_int(stages, "stages")
+    _require_int(stages, "stages", 1)
     if order is not None:
         _require_int(order, "order")
-    if stages < 1:
-        raise ValueError(f"stages must be >= 1, got {stages}")
     first = initial_tail(variant)
     if order is not None:
         s, d = stages, first.step
@@ -396,9 +387,7 @@ def run_telescope(variant: int, order: int) -> DerivationTrace:
     Steps run until the next emission's smaller exponent would exceed
     the order, which also bounds the residual tail's leading exponent.
     """
-    _require_int(order, "order")
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
+    _require_int(order, "order", 2)
     # an order no list can hold fails here, before the stages are listed
     _zeros(order)
     tails, records = [initial_tail(variant)], []

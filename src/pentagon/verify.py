@@ -116,14 +116,8 @@ def full_verification(order: int, roots_max_d: int = 12) -> list[CheckResult]:
     d-th root exactly from m = d on, for d <= ``roots_max_d`` (at most
     500). The detail of a failing check names its first mismatch.
     """
-    _require_int(order, "order")
-    _require_int(roots_max_d, "roots_max_d")
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
-    if roots_max_d < 1:
-        raise ValueError(f"roots_max_d must be >= 1, got {roots_max_d}")
-    if roots_max_d > _ROOTS_MAX_D:
-        raise ValueError(f"roots_max_d must be <= {_ROOTS_MAX_D}, got {roots_max_d}")
+    _require_int(order, "order", 2)
+    _require_int(roots_max_d, "roots_max_d", 1, _ROOTS_MAX_D)
     _zeros(order)  # an order no list can hold fails before any fork
     # cascade step k and sweep factor k each update max(0, order - 2k)
     # entries: m * (order - m - 1) in steps 1..m, for m <= order/2

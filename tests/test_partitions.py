@@ -190,6 +190,7 @@ def test_recurrence_is_one_sparse_division_by_the_closed_form(monkeypatch, funct
     (partitions_recurrence, (2.0,), "n_max must be an int, got 2.0"),
     (partitions_enumerate, (True,), "n must be an int, got True"),
     (partitions_enumerate, (2.5,), "n must be an int, got 2.5"),
+    (partitions_enumerate, (-1,), "n must be >= 0, got -1"),
     (reciprocal_series, (2.0,), "order must be an int, got 2.0"),
 ), ids=lambda value: value.__name__ if callable(value) else None)
 def test_entry_points_reject_arguments_that_are_not_ints(function, args, message):

@@ -59,6 +59,8 @@ def test_terms_upto_rejects_negative_order():
     (pentagonal_terms_upto, (True,), "order must be an int, got True"),
     (pentagonal_pair, (2.0,), "n must be an int, got 2.0"),
     (pentagonal_pair, (True,), "n must be an int, got True"),
+    (pentagonal_pair, (0,), "n must be >= 1, got 0"),
+    (pentagonal_terms_upto, (-1,), "order must be >= 0, got -1"),
     # each used to yield the first pair
     (pentagonal_pairs_upto, (2.5,), "limit must be an int, got 2.5"),
     (pentagonal_pairs_upto, (True,), "limit must be an int, got True"),

@@ -159,6 +159,7 @@ def test_make_series_rejects_coefficients_that_are_not_ints(coeffs, bad):
     (monomial, (1.0, 3), "exponent must be an int, got 1.0"),
     (monomial, (True, 3), "exponent must be an int, got True"),
     (monomial, (1, 3.0), "order must be an int, got 3.0"),
+    (monomial, (-1, 3), "exponent must be >= 0, got -1"),
 ))
 def test_constructors_reject_an_order_or_exponent_that_is_not_an_int(
         function, args, message):
@@ -236,6 +237,10 @@ def test_mul_binomial_rejects_nonpositive_k():
     (product_range, (1, 3.0, 3), "last must be an int, got 3.0"),
     (product_range, (1, 3, True), "order must be an int, got True"),
     (partial_product, (2.0, 3), "m must be an int, got 2.0"),
+    (mul_binomial, (one(3), 0, -1), "k must be >= 1, got 0"),
+    (div_binomial, (one(3), 0), "k must be >= 1, got 0"),
+    (product_range, (0, 3, 3), "first must be >= 1, got 0"),
+    (partial_product, (0, 3), "m must be >= 1, got 0"),
 ), ids=lambda value: value.__name__ if callable(value) else None)
 def test_binomial_wrappers_reject_arguments_that_are_not_ints(function, args, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -439,22 +439,30 @@ def test_variants_emit_identical_term_multisets(order):
     (lambda: expand_tail(initial_tail(1), -5), "order must be >= 0, got -5"),
     (lambda: replay_stages(1, 0), "stages must be >= 1, got 0"),
     (lambda: run_telescope(1, 1), "order must be >= 2, got 1"),
-    (lambda: initial_tail(3), "variant must be 1 or 2, got 3"),
+    (lambda: initial_tail(3), "variant must be <= 2, got 3"),
+    (lambda: initial_tail(0), "variant must be >= 1, got 0"),
     (lambda: initial_tail(1.0), "variant must be an int, got 1.0"),
+    # a bool at a bound is still not an int
+    (lambda: initial_tail(True), "variant must be an int, got True"),
     # the prefix is read from the variant, so a trace checks it when built
     (lambda: DerivationTrace(3, 12, (), initial_tail(1)),
-     "variant must be 1 or 2, got 3"),
+     "variant must be <= 2, got 3"),
     (lambda: DerivationTrace(True, 12, (), initial_tail(1)),
      "variant must be an int, got True"),
     # reconstruct used to raise a bare TypeError from the list multiply
     (lambda: DerivationTrace(1, 5.0, (), initial_tail(1)),
      "order must be an int, got 5.0"),
-    (lambda: TailFamily(1, 0, 1, 1, False), "stage, base and step must all be >= 1"),
+    (lambda: TailFamily(1, 0, 1, 1, False), "stage must be >= 1, got 0"),
+    (lambda: TailFamily(1, 1, 0, 1, False), "base must be >= 1, got 0"),
+    (lambda: TailFamily(1, 1, 1, 0, False), "step must be >= 1, got 0"),
     # these used to be built, and tail_signs gave floats or complex numbers
     (lambda: EmissionRecord(-1, 1, 2, 1, 1), "stage must be >= 1, got -1"),
     (lambda: EmissionRecord(1.5, 1, 2, 1, 1), "stage must be an int, got 1.5"),
     (lambda: EmissionRecord(1, 1, 2, 5, 1), "first_sign must be -1 or 1, got 5"),
     (lambda: EmissionRecord(1, 1, 2, 1, True), "second_sign must be an int, got True"),
+    # reconstruct used to write a negative exponent's term near the top
+    (lambda: EmissionRecord(1, -5, 12, 1, 1), "first_exponent must be >= 0, got -5"),
+    (lambda: EmissionRecord(1, 5, -1, 1, 1), "second_exponent must be >= 0, got -1"),
 ))
 def test_entry_points_name_the_argument_they_reject(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
