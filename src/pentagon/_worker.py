@@ -1,13 +1,23 @@
-"""One forked worker for the telescope and verify runs worth a second CPU."""
+"""One forked worker for the telescope, verify and partitions runs worth a
+second CPU.
+
+A run hands ``_forked`` a list of tasks. The worker, a copy of the run
+made with ``os.fork()``, computes them in turn and streams each answer
+back through a pipe as soon as it has it, while this process goes on
+with its own share: a telescope or verify run sends one task, a
+partitions round one per chunk of its far sums. Any answer that does
+not arrive whole is computed here instead.
+"""
 
 from __future__ import annotations
 
 import os
 import signal
 import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from marshal import dumps, loads
+from typing import BinaryIO
 
 # Kernel updates from which a run forks a worker. A fork, pipe, kill and
 # reap cost about 3 ms. On a 2-vCPU Xeon (Python 3.11.7, medians of seven
@@ -15,7 +25,14 @@ from marshal import dumps, loads
 # serial time at 65k updates (order 500), 0.9-1.2x at 150k-210k (800-900)
 # and 0.7-0.9x at 260k-320k (1000-1100); a verify run (order^2/4 updates)
 # 1.3x at 62k (500), 1.0x at 120k-160k (700-800), 0.9x at 200k-320k.
+# A partitions run counts one update per term read, n + 1 - e for each
+# closed-form exponent e <= n, and forks only from n = 5000, where its
+# rounds begin (medians of 21 alternating best-of-three calls): 0.99x
+# at 380k (5000), 0.94x at 500k (6000) and 0.82-0.88x at 0.77M-1.42M
+# (8000-12000); rounds from 4000 took 1.06x at 272k.
 _WORKER_UPDATES = 200_000
+# bytes of the length that precedes each answer on the pipe
+_HEADER = 8
 
 
 def _use_worker(updates: int) -> bool:
@@ -33,42 +50,64 @@ def _use_worker(updates: int) -> bool:
     return (os.cpu_count() or 1) >= 2
 
 
-@contextmanager
-def _forked(task: Callable[[], object]) -> Iterator[Callable[[], object]]:
-    """Start ``task()`` in a forked worker; yield a function for its answer.
+def _receive(pipe: BinaryIO) -> object:
+    """The next answer on ``pipe``; EOFError if its frame is cut short.
 
-    The worker writes the answer to a pipe with ``marshal`` and leaves
-    with ``os._exit``; the function reads the pipe to its end. If the
-    fork failed, or the answer is missing or cut short, the function
-    computes ``task()`` in this process instead. However the block
-    returns or raises, the worker is killed and reaped first.
+    A frame cut short leaves a prefix of its little-endian length, which
+    reads as no more than the length, or a strict prefix of the answer's
+    marshal bytes, or nothing; ``loads`` raises EOFError on each.
+    """
+    header = pipe.read(_HEADER)
+    return loads(pipe.read(int.from_bytes(header, "little")))
+
+
+@contextmanager
+def _forked(tasks: Sequence[Callable[[], object]]) -> Iterator[Iterator[object]]:
+    """Run ``tasks`` in turn in a forked worker; yield an iterator over their answers.
+
+    The worker writes each answer to a pipe as soon as it has it, framed
+    as its length in ``_HEADER`` bytes and then its ``marshal`` bytes,
+    and leaves with ``os._exit``. The iterator reads one frame per
+    answer, so a caller can use the first answers while the worker
+    computes the later ones. A frame goes through ``loads`` whole:
+    ``marshal.load`` on the pipe would read it one small piece at a
+    time. If the fork failed, or the stream ends or is cut short before
+    some answer, the iterator computes that task and every later one in
+    this process instead. However the block returns or raises, the
+    worker is killed and reaped first.
     """
     read_end, write_end = os.pipe()
-
-    def answer() -> object:
-        with open(read_end, "rb", closefd=False) as pipe:
-            data = pipe.read()
-        try:
-            return loads(data)
-        except EOFError:  # what any cut-short answer raises, b"" too
-            return task()
-
+    pipe = open(read_end, "rb")
     try:
         pid = os.fork()
     except OSError:
         pid = None
     if pid == 0:
         try:
-            os.close(read_end)
-            with open(write_end, "wb") as pipe:
-                pipe.write(dumps(task()))
+            pipe.close()
+            with open(write_end, "wb") as out:
+                for task in tasks:
+                    data = dumps(task())
+                    out.write(len(data).to_bytes(_HEADER, "little"))
+                    out.write(data)
+                    out.flush()
         finally:
             os._exit(0)
+
+    def answers() -> Iterator[object]:
+        for i, task in enumerate(tasks):
+            try:
+                answer = _receive(pipe)
+            except EOFError:  # no more answers: do the rest here
+                yield from (task() for task in tasks[i:])
+                return
+            yield answer
+
     try:
         os.close(write_end)
-        yield answer
+        yield answers()
     finally:
-        os.close(read_end)
+        pipe.close()
         if pid is not None:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

@@ -4,7 +4,9 @@ Inverting the sparse series gives the generating function of the
 partition numbers p(n), and the sparsity turns inversion into a
 recurrence with O(sqrt(n)) terms per value. The series kernel's sparse
 long division, given the closed form's terms, yields the coefficients
-that both the reciprocal series and the partition table wrap. Two
+that both the reciprocal series and the partition table wrap; a large
+table is divided in doubling rounds, a forked worker summing each
+round's terms that read earlier rounds while this process divides. Two
 independent oracles guard it: a sum over Durfee squares that never
 touches pentagonal numbers, and literal enumeration of partitions at
 small n. All arithmetic is exact.
@@ -13,14 +15,22 @@ small n. All arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, repeat
 from math import isqrt
 
+from ._worker import _forked, _use_worker
 from .pentagonal import pentagonal_terms_upto
-from .series import (TruncatedSeries, _check_index, _div_binomial_inplace,
-                     _div_sparse_inplace, _int_add, _require_int,
-                     _require_int_tuple, _zeros)
+from .series import (TruncatedSeries, _add_shifted, _check_index,
+                     _div_binomial_inplace, _div_sparse, _int_add,
+                     _require_int, _require_int_tuple, _zeros)
 
 ENUMERATION_LIMIT = 45
+# A run worth a worker divides in one kernel call up to n halved until
+# below twice _FIRST_BLOCK, then doubles in rounds; each round's far sums
+# come in _CHUNKS chunks, all but the first from the worker.
+_FIRST_BLOCK = 2500
+_CHUNKS = 16
 
 
 @dataclass(frozen=True)
@@ -47,16 +57,65 @@ class PartitionTable:
         return len(self.values)
 
 
-def _reciprocal_coeffs(n: int) -> list[int]:
-    """q_0..q_n of 1 / closed form, by one sparse long division.
+def _far_sums(q: list[int], terms: list[tuple[int, int]], a: int, b: int) -> list[int]:
+    """For m = a..b-1, minus the sum of c * q_(m-e) over the terms (e, c)
+    with 0 <= m - e < len(q): the part of each q_m that reads only q.
 
-    Divides the unit list by 1 plus the closed form's terms above x^0
-    through the series kernel ``_div_sparse_inplace``: q_m is minus the
-    sum of c * q_(m-e) over the terms (e, c) with e <= m.
+    ``terms`` ascend by e, and term (e, c) reads q into x^max(a, e) up
+    to x^min(b, e + len(q)) - 1, two ends that rise with e. So one
+    ``_add_shifted`` pass per term, into a list grown with zeros to
+    that term's last exponent, reads q through an iterator set to its
+    first index in O(1), as in ``_div_binomial_inplace``.
     """
-    q = _zeros(n)
-    q[0] = 1
-    _div_sparse_inplace(q, pentagonal_terms_upto(n)[1:])
+    out: list[int] = []
+    for e, c in terms:
+        lo, hi = max(a, e), min(b, e + len(q))
+        if lo < hi:
+            out += repeat(0, hi - a - len(out))
+            source = iter(q)
+            source.__setstate__(lo - e)
+            _add_shifted(out, lo - a, -c, source)
+    out += repeat(0, b - a - len(out))
+    return out
+
+
+def _reciprocal_coeffs(n: int) -> list[int]:
+    """q_0..q_n of 1 / closed form, by sparse long division.
+
+    The series kernel ``_div_sparse`` divides 1 by 1 plus the closed
+    form's terms above x^0: q_m is minus the sum of c * q_(m-e) over the
+    terms (e, c) with e <= m. In one process that is one kernel call.
+
+    A run worth a worker (``_use_worker`` of its reads, n + 1 - e per
+    term) halves n until it is below 2 * ``_FIRST_BLOCK``, divides that
+    far in one kernel call, then doubles what it has, q_0..q_s, in
+    rounds, the last ending at x^n. In a round each new q_m splits in
+    two: its far sums, over the terms with m - e <= s, read only the
+    q_0..q_s already known; its near terms, with m - e > s, read only
+    the round's own values. So the round's values are the kernel's
+    division of the far sums by the same terms, as a list from x^(s+1).
+    A forked worker, a copy of q_0..q_s, computes the far sums in
+    ``_CHUNKS`` chunks but the first and sends each as it is done; the
+    kernel divides each chunk as it arrives. This process computes the
+    first chunk itself: its far sums read the most terms per entry, and
+    the kernel starts on it while the worker computes the second.
+    """
+    _zeros(n)  # an order no list can hold fails before any term is listed
+    terms = pentagonal_terms_upto(n)[1:]
+    rounds = 0
+    if _use_worker(sum(n + 1 - e for e, _ in terms)):
+        while n >> (rounds + 1) >= _FIRST_BLOCK:
+            rounds += 1
+    q = _div_sparse(chain((1,), repeat(0, n >> rounds)), terms)
+    for r in range(rounds - 1, -1, -1):
+        a, b = len(q), (n >> r) + 1
+        cuts = [a + (b - a) * i // _CHUNKS for i in range(_CHUNKS + 1)]
+        tasks = [partial(_far_sums, q, terms, lo, hi)
+                 for lo, hi in zip(cuts[1:], cuts[2:])]
+        with _forked(tasks) as answers:
+            first = _far_sums(q, terms, cuts[0], cuts[1])
+            new = _div_sparse(chain(first, chain.from_iterable(answers)), terms)
+        q += new
     return q
 
 

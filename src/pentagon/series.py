@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import count, islice, repeat
 from math import isqrt
 from operator import add as _int_add, itemgetter, sub as _int_sub
 from typing import Any, Iterable
@@ -203,13 +203,15 @@ def div_binomial(a: TruncatedSeries, k: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(out))
 
 
-def _div_sparse_inplace(coeffs: list[int], terms: Iterable[tuple[int, int]]) -> None:
-    """coeffs /= 1 + (the sum of c*x^e over terms), modulo x^len(coeffs).
+def _div_sparse(values: Iterable[int], terms: Iterable[tuple[int, int]]) -> list[int]:
+    """values / (1 + the sum of c*x^e over terms), to as many terms as values.
 
     The one sparse long division, behind ``partitions._reciprocal_coeffs``.
-    Every e must be >= 1, so the divisor starts with 1 and the quotient
-    is exact, and every c must be 1 or -1, else ValueError; terms with
-    e >= len(coeffs) are never read. q_m is a_m less the sum of c * q_(m-e)
+    ``values`` is read one entry per quotient entry, so it may be a
+    stream that is still being computed. Every e must be >= 1, so the
+    divisor starts with 1 and the quotient is exact, and every c must be
+    1 or -1, else ValueError, raised before any value is read; terms past
+    the last value are never read. q_m is a_m less the sum of c * q_(m-e)
     over the e <= m. While q holds q_0..q_(m-1), q[-e] is q_(m-e), so one
     ``itemgetter`` per sign gathers the terms with c = -1 and with c = +1,
     rebuilt whenever m reaches a new offset. Both gatherers start with
@@ -221,17 +223,18 @@ def _div_sparse_inplace(coeffs: list[int], terms: Iterable[tuple[int, int]]) -> 
         if c != 1 and c != -1:
             raise ValueError(f"term x^{e}: coefficient must be 1 or -1, got {c!r}")
         arrivals.setdefault(e, []).append(c)
-    q = coeffs[:1]
+    values = iter(values)
+    q = list(islice(values, 1))
     added, subtracted = [0, 0], [0, 0]
     take_added = take_subtracted = itemgetter(0, 0)
-    for m, a in enumerate(coeffs[1:], 1):
+    for m, a in enumerate(values, 1):
         if m in arrivals:
             for c in arrivals[m]:
                 (added if c == -1 else subtracted).append(-m)
             take_added = itemgetter(*added)
             take_subtracted = itemgetter(*subtracted)
         q.append(a + sum(take_added(q)) - sum(take_subtracted(q)))
-    coeffs[:] = q
+    return q
 
 
 def _zeros(order: int) -> list[int]:
@@ -270,10 +273,12 @@ def product_range(first: int, last: int, order: int) -> TruncatedSeries:
     1 plus terms of degree > k: multiplying by (1 - x^k) subtracts x^k
     and x^k times those terms, which start at degree 2k + 1, so the
     sweep decrements x^k and subtracts a copy of the list from x^(k+1)
-    up, shifted to start at x^(2k+1); the copy holds every old entry.
-    Factor k thus costs max(0, order - 2k) updates past its decrement:
-    about order^2/4 in all, where applying the factors smallest first
-    costs about order^2/2. An order too large for a list raises ValueError.
+    up, shifted to start at x^(2k+1); the copy holds just the
+    order - 2k old entries that land below x^(order+1), all read before
+    any is stored. Factor k thus costs max(0, order - 2k) updates past
+    its decrement: about order^2/4 in all, where applying the factors
+    smallest first costs about order^2/2. An order too large for a list
+    raises ValueError.
 
     The full product P (first == 1 and last >= order) comes from its
     logarithmic derivative instead, as in Euler's E175: x*P'/P is
@@ -316,7 +321,7 @@ def product_range(first: int, last: int, order: int) -> TruncatedSeries:
     else:
         for k in range(min(last, order), first - 1, -1):
             cur[k] -= 1
-            _add_shifted(cur, 2 * k + 1, -1, cur[k + 1:])
+            _add_shifted(cur, 2 * k + 1, -1, cur[k + 1:order - k + 1])
     return TruncatedSeries(tuple(cur))
 
 

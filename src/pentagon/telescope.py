@@ -318,10 +318,10 @@ def _check_stages(tails: list[TailFamily], records: list[EmissionRecord],
         mid = min(range(1, n),
                   key=lambda m: max(work[m], total - work[m - 1]))
         # a failure in [0, mid) is the first, so it does not await the worker
-        with _forked(lambda: _first_failure(tails, records, order, mid, n)) as later:
+        with _forked((lambda: _first_failure(tails, records, order, mid, n),)) as later:
             failed = _first_failure(tails, records, order, 0, mid)
             if failed == mid:
-                failed = later()
+                (failed,) = later
     else:
         failed = _first_failure(tails, records, order, 0, n)
     if failed < n:

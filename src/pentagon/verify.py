@@ -130,11 +130,11 @@ def full_verification(order: int, roots_max_d: int = 12) -> list[CheckResult]:
         return product_range(m + 1, order, order).coeffs
 
     results = []
-    with _forked(far_end) if m < order else nullcontext(far_end) as answer:
+    with _forked((far_end,)) if m < order else nullcontext((far_end(),)) as answers:
         product = partial_product(order, order).coeffs
         closed = closed_form_series(order)
         quotient = next(islice(_cascade(closed), m, None))
-        remaining = answer()
+        (remaining,) = answers
     e = next((i for i, a in enumerate(closed.coeffs) if a != product[i]), None)
     results.append(CheckResult("closed form equals product", e is None, (
         f"order {order}" if e is None else

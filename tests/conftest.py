@@ -24,10 +24,10 @@ def broken_reduce_step(monkeypatch):
 
 @pytest.fixture
 def one_process(monkeypatch):
-    """Keep every telescope and verify run in this process, so spies see
-    all of its work: no run forks a worker for its later stages or for
-    the far end of its division cascade."""
-    for module in (pentagon.telescope, pentagon.verify):
+    """Keep every telescope, verify and partitions run in this process, so
+    spies see all of its work: no run forks a worker for its later
+    stages, the far end of its division cascade or its far sums."""
+    for module in (pentagon.partitions, pentagon.telescope, pentagon.verify):
         monkeypatch.setattr(module, "_use_worker", lambda updates: False)
 
 

@@ -1,6 +1,8 @@
 """Partition counts: recurrence, DP oracle, enumeration, reciprocal series."""
 
+import errno
 import math
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -146,38 +148,70 @@ def test_dp_work_budget(monkeypatch, division_updates):
     assert len(additions) == 58_674
 
 
-def test_recurrence_read_budget(monkeypatch):
+def test_recurrence_read_budget(monkeypatch, one_process):
     # each offset e is read once for every m = e..n: 10001 - e reads at
     # n = 10000 over the 162 pentagonal offsets, where a dense division
     # by the closed form would read about n^2/2 = 5 * 10^7
     reads = []
-    original = pentagon.partitions._div_sparse_inplace
+    original = pentagon.partitions._div_sparse
 
-    def counted(coeffs, terms):
-        terms = list(terms)
-        reads.extend(max(0, len(coeffs) - e) for e, _ in terms)
-        original(coeffs, terms)
+    def counted(values, terms):
+        values, terms = list(values), list(terms)
+        reads.extend(max(0, len(values) - e) for e, _ in terms)
+        return original(values, terms)
 
-    monkeypatch.setattr(pentagon.partitions, "_div_sparse_inplace", counted)
+    monkeypatch.setattr(pentagon.partitions, "_div_sparse", counted)
     partitions_recurrence(10000)
     assert len(reads) == 162
     assert sum(reads) == 1_078_839
 
 
+def test_rounds_read_each_offset_once_between_far_sums_and_kernel(monkeypatch):
+    # the worker's path, with every fork failing, so this process does
+    # the far sums too: a first block to 2500 and rounds to 5000 and to
+    # 10000 read the same 1,078,839 entries as the one division, each
+    # (m, e) once, in a far-sum pass or in the kernel
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    passes, reads = [], []
+    add_shifted = pentagon.partitions._add_shifted
+    divide = pentagon.partitions._div_sparse
+
+    def counted_pass(out, e, c, a):
+        passes.append(len(out) - e)
+        add_shifted(out, e, c, a)
+
+    def counted_division(values, terms):
+        values, terms = list(values), list(terms)
+        reads.extend(max(0, len(values) - e) for e, _ in terms)
+        return divide(values, terms)
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(pentagon.partitions, "_use_worker", lambda updates: True)
+    monkeypatch.setattr(pentagon.partitions, "_add_shifted", counted_pass)
+    monkeypatch.setattr(pentagon.partitions, "_div_sparse", counted_division)
+    values = partitions_recurrence(10000).values
+    assert len(reads) == 3 * 162
+    assert sum(passes) + sum(reads) == 1_078_839
+    assert values == partitions_oracle_dp(10000).values
+
+
 @pytest.mark.parametrize("function", (partitions_recurrence, reciprocal_series),
                          ids=lambda function: function.__name__)
-def test_recurrence_is_one_sparse_division_by_the_closed_form(monkeypatch, function):
+def test_recurrence_is_one_sparse_division_by_the_closed_form(monkeypatch, one_process,
+                                                            function):
     # both entry points divide 1 by the closed form through the series
     # kernel, once, with the terms above x^0 as computed
     calls = []
-    original = pentagon.partitions._div_sparse_inplace
+    original = pentagon.partitions._div_sparse
 
-    def recorded(coeffs, terms):
+    def recorded(values, terms):
         terms = list(terms)
         calls.append(terms)
-        original(coeffs, terms)
+        return original(values, terms)
 
-    monkeypatch.setattr(pentagon.partitions, "_div_sparse_inplace", recorded)
+    monkeypatch.setattr(pentagon.partitions, "_div_sparse", recorded)
     values = tuple(function(300))
     assert calls == [pentagonal_terms_upto(300)[1:]]
     assert values == partitions_oracle_dp(300).values
@@ -193,7 +227,7 @@ def test_recurrence_is_one_sparse_division_by_the_closed_form(monkeypatch, funct
     (partitions_enumerate, (-1,), "n must be >= 0, got -1"),
     (reciprocal_series, (2.0,), "order must be an int, got 2.0"),
 ), ids=lambda value: value.__name__ if callable(value) else None)
-def test_entry_points_reject_arguments_that_are_not_ints(function, args, message):
+def test_entry_points_reject_non_int_and_out_of_range_arguments(function, args, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         function(*args)
 

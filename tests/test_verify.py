@@ -178,13 +178,6 @@ def test_full_verification_passes():
     assert all(isinstance(c, CheckResult) and c.passed for c in checks)
 
 
-def test_full_verification_validates_arguments():
-    with pytest.raises(ValueError):
-        full_verification(1)
-    with pytest.raises(ValueError):
-        full_verification(10, roots_max_d=0)
-
-
 @pytest.mark.parametrize("function, args, message", (
     (full_verification, (2.5,), "order must be an int, got 2.5"),
     (full_verification, (60, 6.0), "roots_max_d must be an int, got 6.0"),

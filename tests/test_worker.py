@@ -1,29 +1,37 @@
-"""The forked worker that telescope and verify share: when it is used, what
-it answers, and that no run leaves it behind however the run ends."""
+"""The forked worker that telescope, verify and partitions share: when it
+is used, what it answers, and that no run leaves it behind however the
+run ends."""
 
 import errno
 import marshal
 import os
+import signal
 import threading
 import time
 
 import pytest
 
 import pentagon._worker
+import pentagon.partitions
 import pentagon.telescope
 import pentagon.verify
+from pentagon.partitions import partitions_recurrence
 from pentagon.telescope import run_telescope
 from pentagon.verify import full_verification
 
-# Both runs are above the worker's break-even.
+MODULES = (pentagon.partitions, pentagon.telescope, pentagon.verify)
+
+# Each run is above the worker's break-even; the partition table at
+# 10000 is a first block to 2500 and two rounds.
 RUNS = {
     "verify": lambda: full_verification(1500, 8),
     "telescope": lambda: run_telescope(1, 1500),
+    "partitions": lambda: partitions_recurrence(10000),
 }
 
 
 def use_worker(monkeypatch, choice: bool) -> None:
-    for module in (pentagon.telescope, pentagon.verify):
+    for module in MODULES:
         monkeypatch.setattr(module, "_use_worker", lambda updates: choice)
 
 
@@ -33,23 +41,26 @@ def assert_no_child_left() -> None:
 
 
 @pytest.fixture
-def parent_tasks(monkeypatch):
-    """One entry each time this process computes a worker's task itself;
-    a worker's own calls land in its copy of the list."""
-    calls = []
+def tasks(monkeypatch):
+    """Every task a run hands to a worker, and each time this process
+    computed one itself; a worker's own calls land in its copy."""
+    given, here = [], []
     parent = os.getpid()
     forked = pentagon._worker._forked
 
-    def recorded(task):
-        def counted():
-            if os.getpid() == parent:
-                calls.append(task)
-            return task()
-        return forked(counted)
+    def recorded(tasks):
+        def counted(task):
+            def run():
+                if os.getpid() == parent:
+                    here.append(task)
+                return task()
+            return run
+        given.extend(tasks)
+        return forked([counted(task) for task in tasks])
 
-    for module in (pentagon.telescope, pentagon.verify):
+    for module in MODULES:
         monkeypatch.setattr(module, "_forked", recorded)
-    return calls
+    return given, here
 
 
 def test_a_worker_is_used_for_a_large_run_in_one_thread_with_two_cpus(monkeypatch):
@@ -75,60 +86,144 @@ def test_a_worker_is_used_for_a_large_run_in_one_thread_with_two_cpus(monkeypatc
     assert not use(limit)
 
 
-def test_the_answer_crosses_the_pipe_whole():
-    # a list larger than a pipe's buffer, with integers of any size
-    value = [(-7) ** (i % 100) for i in range(20_000)]
-    with pentagon._worker._forked(lambda: value) as answer:
-        assert answer() == value
+def test_the_answers_cross_the_pipe_whole_and_in_order():
+    # lists larger than a pipe's buffer, with integers of any size
+    values = [[(-7) ** (i % 100) + j for i in range(20_000)] for j in range(3)]
+    with pentagon._worker._forked([lambda j=j: values[j] for j in range(3)]) as answers:
+        assert list(answers) == values
+    assert_no_child_left()
+
+
+def test_an_answer_arrives_while_the_worker_computes_the_next():
+    start = time.monotonic()
+    with pentagon._worker._forked((lambda: 1, lambda: time.sleep(60))) as answers:
+        assert next(answers) == 1
+    assert time.monotonic() - start < 30
     assert_no_child_left()
 
 
 def test_a_caller_need_not_wait_for_the_answer():
     start = time.monotonic()
-    with pentagon._worker._forked(lambda: time.sleep(60)):
+    with pentagon._worker._forked((lambda: time.sleep(60),)):
         pass
     assert time.monotonic() - start < 30
     assert_no_child_left()
 
 
 @pytest.mark.parametrize("run", RUNS, ids=RUNS)
-def test_a_worker_answers_and_is_gone(monkeypatch, parent_tasks, run):
+def test_a_worker_answers_and_is_gone(monkeypatch, tasks, run):
     use_worker(monkeypatch, False)
     alone = RUNS[run]()
+    assert tasks == ([], [])
     use_worker(monkeypatch, True)
     assert RUNS[run]() == alone
-    assert parent_tasks == []
+    given, here = tasks
+    assert given and here == []
     assert_no_child_left()
 
 
-def break_fork(monkeypatch):
+def break_fork(monkeypatch, sent=0):
     def no_fork():
         raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
     monkeypatch.setattr(os, "fork", no_fork)
 
 
-def exit_silently(monkeypatch):
-    # dumps runs only in the worker, once its task is done
-    monkeypatch.setattr(pentagon._worker, "dumps", lambda value: os._exit(0))
+def stop_after(monkeypatch, sent, last):
+    """The worker sends ``sent`` answers, then calls ``last`` with the
+    next answer's marshal bytes and the pipe's write end; ``dumps`` runs
+    only in the worker, once per task done."""
+    pipes = []
+    pipe = os.pipe
+
+    def recorded_pipe():
+        pipes.append(pipe())
+        return pipes[-1]
+
+    count = 0
+
+    def dumps(value):
+        nonlocal count
+        count += 1
+        data = marshal.dumps(value)
+        return data if count <= sent else last(data, pipes[-1][1])
+
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    monkeypatch.setattr(pentagon._worker, "dumps", dumps)
 
 
-def truncate_answer(monkeypatch):
-    monkeypatch.setattr(pentagon._worker, "dumps",
-                        lambda value: marshal.dumps(value)[:-1])
+def exit_silently(monkeypatch, sent=0):
+    stop_after(monkeypatch, sent, lambda data, out: os._exit(0))
+
+
+def truncate_answer(monkeypatch, sent=0):
+    # a whole frame whose marshal bytes are cut short
+    stop_after(monkeypatch, sent, lambda data, out: data[:-1])
+
+
+def truncate_frame(monkeypatch, sent=0):
+    # the worker dies halfway through writing a frame
+    def half(data, out):
+        header = len(data).to_bytes(pentagon._worker._HEADER, "little")
+        os.write(out, header + data[:len(data) // 2])
+        os._exit(0)
+    stop_after(monkeypatch, sent, half)
+
+
+BREAKAGES = (break_fork, exit_silently, truncate_answer, truncate_frame)
+BREAKAGE_IDS = ("fork-fails", "worker-exits-early", "answer-truncated", "frame-truncated")
 
 
 @pytest.mark.parametrize("run", RUNS, ids=RUNS)
-@pytest.mark.parametrize("breakage", (break_fork, exit_silently, truncate_answer),
-                         ids=("fork-fails", "worker-exits-silently",
-                              "answer-truncated"))
-def test_this_process_does_the_workers_task_when_it_has_no_answer(
-        monkeypatch, parent_tasks, run, breakage):
+@pytest.mark.parametrize("breakage", BREAKAGES, ids=BREAKAGE_IDS)
+def test_this_process_does_the_workers_tasks_when_it_has_no_answer(
+        monkeypatch, tasks, run, breakage):
     use_worker(monkeypatch, False)
     alone = RUNS[run]()
     use_worker(monkeypatch, True)
     breakage(monkeypatch)
     assert RUNS[run]() == alone
-    assert len(parent_tasks) == 1
+    given, here = tasks
+    assert given and here == given
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("breakage", BREAKAGES[1:], ids=BREAKAGE_IDS[1:])
+@pytest.mark.parametrize("sent", (0, 1, 3, 4))
+def test_a_stream_cut_short_costs_only_the_answers_it_lacks(monkeypatch, breakage, sent):
+    # the first `sent` answers come from the worker, and this process
+    # computes each later one once
+    here = []
+    parent = os.getpid()
+
+    def task(i):
+        def run():
+            if os.getpid() == parent:
+                here.append(i)
+            return [i] * 10_000
+        return run
+
+    breakage(monkeypatch, sent)
+    with pentagon._worker._forked([task(i) for i in range(4)]) as answers:
+        assert list(answers) == [[i] * 10_000 for i in range(4)]
+    assert here == list(range(sent, 4))
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("first_block", (4, 2500))
+def test_the_rounds_give_the_one_process_values_across_round_boundaries(
+        monkeypatch, tasks, first_block):
+    # with a first block of 4, windows of a few entries and chunks that
+    # are empty; with 2500, rounds begin at 5000, and 9999 has one round
+    # where 10000 has two
+    sizes = ((0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 100, 257) if first_block == 4
+             else (4999, 5000, 5001, 9999, 10000))
+    use_worker(monkeypatch, False)
+    alone = [partitions_recurrence(n) for n in sizes]
+    use_worker(monkeypatch, True)
+    monkeypatch.setattr(pentagon.partitions, "_FIRST_BLOCK", first_block)
+    assert [partitions_recurrence(n) for n in sizes] == alone
+    given, here = tasks
+    assert given and here == []
     assert_no_child_left()
 
 
@@ -156,3 +251,32 @@ def test_ctrl_c_mid_cascade_kills_the_worker_rather_than_await_it(monkeypatch):
             RUNS["verify"]()
         assert time.monotonic() - start < 30
         assert_no_child_left()
+
+
+def test_ctrl_c_while_awaiting_far_sums_kills_the_worker(monkeypatch):
+    # the worker stalls, so this process waits on the pipe for its
+    # second chunk until a real signal interrupts the read
+    far_sums = pentagon.partitions._far_sums
+    parent = os.getpid()
+
+    def stalled(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return far_sums(*args)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pentagon.partitions, "_far_sums", stalled)
+    use_worker(monkeypatch, True)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        start = time.monotonic()
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        with pytest.raises(KeyboardInterrupt):
+            RUNS["partitions"]()
+        assert time.monotonic() - start < 30
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert_no_child_left()
