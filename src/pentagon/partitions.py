@@ -4,33 +4,35 @@ Inverting the sparse series gives the generating function of the
 partition numbers p(n), and the sparsity turns inversion into a
 recurrence with O(sqrt(n)) terms per value. The series kernel's sparse
 long division, given the closed form's terms, yields the coefficients
-that both the reciprocal series and the partition table wrap; a large
-table is divided in doubling rounds, a forked worker summing each
-round's terms that read earlier rounds while this process divides. Two
-independent oracles guard it: a sum over Durfee squares that never
-touches pentagonal numbers, and literal enumeration of partitions at
-small n. All arithmetic is exact.
+that both the reciprocal series and the partition table wrap; in a
+large table a forked worker sums the terms that read far back while
+this process divides. Two independent oracles guard it: a sum over
+Durfee squares that never touches pentagonal numbers, and literal
+enumeration of partitions at small n. All arithmetic is exact.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
 from math import isqrt
 
-from ._worker import _forked, _use_worker
+from ._worker import _Log, _forked, _use_worker
 from .pentagonal import pentagonal_terms_upto
 from .series import (TruncatedSeries, _add_shifted, _check_index,
                      _div_binomial_inplace, _div_sparse, _int_add,
                      _require_int, _require_int_tuple, _zeros)
 
 ENUMERATION_LIMIT = 45
-# A run worth a worker divides in one kernel call up to n halved until
-# below twice _FIRST_BLOCK, then doubles in rounds; each round's far sums
-# come in _CHUNKS chunks, all but the first from the worker.
-_FIRST_BLOCK = 2500
-_CHUNKS = 16
+# A table forks a worker from n = _FORK_FROM, divides alone below
+# x^_SPLIT_FROM (at least 3), then reads term e here from m = _JOIN * e
+# on; the worker sums the earlier reads in blocks of at least _BLOCK.
+_FORK_FROM = 5000
+_SPLIT_FROM = 1500
+_JOIN = 4
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -57,19 +59,22 @@ class PartitionTable:
         return len(self.values)
 
 
-def _far_sums(q: list[int], terms: list[tuple[int, int]], a: int, b: int) -> list[int]:
+def _far_sums(q: list[int], log: _Log, terms: list[tuple[int, int]],
+              a: int, b: int) -> list[int]:
     """For m = a..b-1, minus the sum of c * q_(m-e) over the terms (e, c)
-    with 0 <= m - e < len(q): the part of each q_m that reads only q.
+    with e <= m < 4e: the part of each q_m that reads below x^(3m/4).
 
     ``terms`` ascend by e, and term (e, c) reads q into x^max(a, e) up
-    to x^min(b, e + len(q)) - 1, two ends that rise with e. So one
+    to x^min(b, 4e) - 1, two ends that rise with e. So one
     ``_add_shifted`` pass per term, into a list grown with zeros to
     that term's last exponent, reads q through an iterator set to its
-    first index in O(1), as in ``_div_binomial_inplace``.
+    first index in O(1), as in ``_div_binomial_inplace``. The reads end
+    below x^(b - b // 4), which ``log`` first extends q to.
     """
+    log.extend(q, b - b // _JOIN)
     out: list[int] = []
     for e, c in terms:
-        lo, hi = max(a, e), min(b, e + len(q))
+        lo, hi = max(a, e), min(b, _JOIN * e)
         if lo < hi:
             out += repeat(0, hi - a - len(out))
             source = iter(q)
@@ -86,36 +91,34 @@ def _reciprocal_coeffs(n: int) -> list[int]:
     form's terms above x^0: q_m is minus the sum of c * q_(m-e) over the
     terms (e, c) with e <= m. In one process that is one kernel call.
 
-    A run worth a worker (``_use_worker`` of its reads, n + 1 - e per
-    term) halves n until it is below 2 * ``_FIRST_BLOCK``, divides that
-    far in one kernel call, then doubles what it has, q_0..q_s, in
-    rounds, the last ending at x^n. In a round each new q_m splits in
-    two: its far sums, over the terms with m - e <= s, read only the
-    q_0..q_s already known; its near terms, with m - e > s, read only
-    the round's own values. So the round's values are the kernel's
-    division of the far sums by the same terms, as a list from x^(s+1).
-    A forked worker, a copy of q_0..q_s, computes the far sums in
-    ``_CHUNKS`` chunks but the first and sends each as it is done; the
-    kernel divides each chunk as it arrives. This process computes the
-    first chunk itself: its far sums read the most terms per entry, and
-    the kernel starts on it while the worker computes the second.
+    A table worth a worker (``_use_worker`` of its reads, n + 1 - e per
+    term, from n = 5000) divides alone below x^_SPLIT_FROM, then reads
+    term e only from m = 4e on, about half of each entry's reads. A
+    worker forked once sums the rest, e <= m < 4e, in blocks [a, b) of
+    max(_BLOCK, a // 16) entries, at most a // 3, so a block reads q
+    only below x^(b - b // 4) <= x^a: this process publishes those
+    values to the worker's ``_Log``, which never waits, before it takes
+    the block's far sums, so no wait cycle can form. The blocks are
+    ``_forked`` tasks: this process computes any that does not arrive,
+    and each one after the log takes no more.
     """
     _zeros(n)  # an order no list can hold fails before any term is listed
     terms = pentagonal_terms_upto(n)[1:]
-    rounds = 0
-    if _use_worker(sum(n + 1 - e for e, _ in terms)):
-        while n >> (rounds + 1) >= _FIRST_BLOCK:
-            rounds += 1
-    q = _div_sparse(chain((1,), repeat(0, n >> rounds)), terms)
-    for r in range(rounds - 1, -1, -1):
-        a, b = len(q), (n >> r) + 1
-        cuts = [a + (b - a) * i // _CHUNKS for i in range(_CHUNKS + 1)]
-        tasks = [partial(_far_sums, q, terms, lo, hi)
-                 for lo, hi in zip(cuts[1:], cuts[2:])]
-        with _forked(tasks) as answers:
-            first = _far_sums(q, terms, cuts[0], cuts[1])
-            new = _div_sparse(chain(first, chain.from_iterable(answers)), terms)
-        q += new
+    split = n
+    if (hasattr(os, "memfd_create")
+            and _use_worker(sum(n + 1 - e for e, _ in terms) if n >= _FORK_FROM else 0)):
+        split = min(n, _SPLIT_FROM - 1)
+    q = _div_sparse(chain((1,), repeat(0, split)), terms)
+    cuts = [len(q)]
+    while cuts[-1] <= n:
+        a = cuts[-1]
+        cuts.append(min(n + 1, a + min(a // (_JOIN - 1), max(_BLOCK, a // 16))))
+    if len(cuts) > 1:
+        log = _Log(len(q))
+        tasks = [partial(_far_sums, q, log, terms, a, b) for a, b in zip(cuts, cuts[1:])]
+        with log, _forked(tasks) as answers:
+            far = (next(answers) if log.publish(q) else task() for task in tasks)
+            _div_sparse(chain.from_iterable(far), terms, q, _JOIN)
     return q
 
 

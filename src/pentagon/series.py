@@ -203,7 +203,8 @@ def div_binomial(a: TruncatedSeries, k: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(out))
 
 
-def _div_sparse(values: Iterable[int], terms: Iterable[tuple[int, int]]) -> list[int]:
+def _div_sparse(values: Iterable[int], terms: Iterable[tuple[int, int]],
+                q: list[int] | None = None, join: int = 1) -> list[int]:
     """values / (1 + the sum of c*x^e over terms), to as many terms as values.
 
     The one sparse long division, behind ``partitions._reciprocal_coeffs``.
@@ -212,25 +213,30 @@ def _div_sparse(values: Iterable[int], terms: Iterable[tuple[int, int]]) -> list
     divisor starts with 1 and the quotient is exact, and every c must be
     1 or -1, else ValueError, raised before any value is read; terms past
     the last value are never read. q_m is a_m less the sum of c * q_(m-e)
-    over the e <= m. While q holds q_0..q_(m-1), q[-e] is q_(m-e), so one
-    ``itemgetter`` per sign gathers the terms with c = -1 and with c = +1,
-    rebuilt whenever m reaches a new offset. Both gatherers start with
-    index 0 twice: an itemgetter of one index returns a bare value, not a
-    tuple, and the 2 * q_0 reads cancel.
+    over the terms joined by m: term (e, c) joins at m = join * e, or at
+    the start, x^len(q), if later; the quotient is appended to ``q``. So
+    join = 1 is the whole division, and a larger join leaves the reads at
+    e <= m < join * e to the caller, folded into ``values``. While q
+    holds q_0..q_(m-1), q[-e] is q_(m-e), so one ``itemgetter`` per sign
+    gathers the joined terms with c = -1 and with c = +1, rebuilt as a
+    term joins. Both gatherers start with index 0 twice: an itemgetter of
+    one index returns a bare value, not a tuple, and the 2 * q_0 reads
+    cancel.
     """
-    arrivals: dict[int, list[int]] = {}
+    q = [] if q is None else q
+    arrivals: dict[int, list[tuple[int, int]]] = {}
     for e, c in terms:
         if c != 1 and c != -1:
             raise ValueError(f"term x^{e}: coefficient must be 1 or -1, got {c!r}")
-        arrivals.setdefault(e, []).append(c)
+        arrivals.setdefault(max(len(q), join * e), []).append((e, c))
     values = iter(values)
-    q = list(islice(values, 1))
+    q += islice(values, 0 if q else 1)
     added, subtracted = [0, 0], [0, 0]
     take_added = take_subtracted = itemgetter(0, 0)
-    for m, a in enumerate(values, 1):
+    for m, a in enumerate(values, len(q)):
         if m in arrivals:
-            for c in arrivals[m]:
-                (added if c == -1 else subtracted).append(-m)
+            for e, c in arrivals[m]:
+                (added if c == -1 else subtracted).append(-e)
             take_added = itemgetter(*added)
             take_subtracted = itemgetter(*subtracted)
         q.append(a + sum(take_added(q)) - sum(take_subtracted(q)))

@@ -166,11 +166,11 @@ def test_recurrence_read_budget(monkeypatch, one_process):
     assert sum(reads) == 1_078_839
 
 
-def test_rounds_read_each_offset_once_between_far_sums_and_kernel(monkeypatch):
+def test_split_reads_each_offset_once_between_far_sums_and_kernel(monkeypatch):
     # the worker's path, with every fork failing, so this process does
-    # the far sums too: a first block to 2500 and rounds to 5000 and to
-    # 10000 read the same 1,078,839 entries as the one division, each
-    # (m, e) once, in a far-sum pass or in the kernel
+    # the far sums too: a first block to 1500 and a division from there
+    # that reads term e from 4e on read the same 1,078,839 entries as the
+    # one division, each (m, e) once, in a far-sum pass or in the kernel
     def no_fork():
         raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
@@ -182,17 +182,18 @@ def test_rounds_read_each_offset_once_between_far_sums_and_kernel(monkeypatch):
         passes.append(len(out) - e)
         add_shifted(out, e, c, a)
 
-    def counted_division(values, terms):
-        values, terms = list(values), list(terms)
-        reads.extend(max(0, len(values) - e) for e, _ in terms)
-        return divide(values, terms)
+    def counted_division(values, terms, q=None, join=1):
+        start = len(q or ())
+        q = divide(values, terms, q, join)
+        reads.extend(max(0, len(q) - max(start, join * e)) for e, _ in terms)
+        return q
 
     monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(pentagon.partitions, "_use_worker", lambda updates: True)
     monkeypatch.setattr(pentagon.partitions, "_add_shifted", counted_pass)
     monkeypatch.setattr(pentagon.partitions, "_div_sparse", counted_division)
     values = partitions_recurrence(10000).values
-    assert len(reads) == 3 * 162
+    assert len(reads) == 2 * 162
     assert sum(passes) + sum(reads) == 1_078_839
     assert values == partitions_oracle_dp(10000).values
 

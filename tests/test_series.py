@@ -70,17 +70,19 @@ def literal_div_binomial(coeffs, k):
     return out
 
 
-def literal_div_sparse(coeffs, terms):
+def literal_div_sparse(coeffs, terms, q=(), join=1):
     """coeffs / (1 + the sum of c*x^e over the (e, c) in terms), truncated
     to len(coeffs): the divisor written out densely, then
     q_i = a_i - (the sum of d_j * q_(i-j) for j = 1..i), one entry at a
-    time from the bottom."""
-    divisor = [1] + [0] * len(coeffs)
-    for e, c in terms:
-        if e < len(coeffs):
-            divisor[e] += c
-    out = []
-    for i, a in enumerate(coeffs):
+    time from the bottom. Given q_0..q_(s-1) and a join, entry i >= s
+    reads term (e, c) only from i = max(s, join * e) on: the divisor is
+    written out again for each entry."""
+    out = list(q)
+    for i, a in enumerate(coeffs, len(out)):
+        divisor = [0] * (i + 1)
+        for e, c in terms:
+            if max(len(q), join * e) <= i:
+                divisor[e] += c
         out.append(a - sum(divisor[j] * out[i - j] for j in range(1, i + 1)))
     return out
 
@@ -383,6 +385,35 @@ def test_div_sparse_kernel_matches_the_literal_long_division(coeffs, terms):
     expected = literal_div_sparse(coeffs, terms)
     assert _div_sparse(coeffs, terms) == expected
     assert _div_sparse(iter(coeffs), iter(terms)) == expected
+
+
+@given(st.lists(st.integers(-10**30, 10**30), max_size=30),
+       st.lists(st.integers(-10**30, 10**30), max_size=30),
+       st.lists(st.tuples(st.integers(1, 20), st.sampled_from((-1, 1)))),
+       st.integers(1, 5))
+def test_div_sparse_kernel_goes_on_from_a_quotient_with_late_joins(q, coeffs, terms, join):
+    # the quotient is appended to the list given, which is returned
+    out = list(q)
+    assert _div_sparse(iter(coeffs), iter(terms), out, join) is out
+    assert out == literal_div_sparse(coeffs, terms, q, join)
+
+
+@pytest.mark.parametrize("coeffs, terms, q, join, expected", (
+    # term 1 joins at 2 and term 2 at 4: q_4 = 1 + q_3 - q_2
+    ([1] * 6, [(1, -1), (2, 1)], [], 2, [1, 1, 2, 3, 2, 0]),
+    # the same quotient, gone on with from x^3: both terms join mid-stream
+    ([1] * 3, [(1, -1), (2, 1)], [1, 1, 2], 2, [1, 1, 2, 3, 2, 0]),
+    # two terms of one sign, joining at 3 and at 6 of a list that starts at
+    # x^2; a kernel whose gatherers keep only the first drops q_(m-2)
+    ([1] * 6, [(2, -1), (1, -1)], [1, 1], 3, [1, 1, 1, 2, 3, 4, 8, 13]),
+    # a term whose join lies below the start reads from the start, x^4
+    ([0, 0], [(1, -1)], [5, 0, 0, 7], 3, [5, 0, 0, 7, 7, 7]),
+    # join 4, as the partition table's split: term 1 at 4, term 2 at 8
+    ([1] * 10, [(1, -1), (2, -1)], [], 4, [1, 1, 1, 1, 2, 3, 4, 5, 10, 16]),
+))
+def test_div_sparse_kernel_joins_each_term_at_join_times_e(coeffs, terms, q, join, expected):
+    assert literal_div_sparse(coeffs, terms, q, join) == expected
+    assert _div_sparse(coeffs, terms, list(q), join) == expected
 
 
 @pytest.mark.parametrize("c", (0, 2, -3, 10**30))

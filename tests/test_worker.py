@@ -8,6 +8,7 @@ import os
 import signal
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -22,7 +23,7 @@ from pentagon.verify import full_verification
 MODULES = (pentagon.partitions, pentagon.telescope, pentagon.verify)
 
 # Each run is above the worker's break-even; the partition table at
-# 10000 is a first block to 2500 and two rounds.
+# 10000 divides alone to 1500 and leaves the worker 25 blocks.
 RUNS = {
     "verify": lambda: full_verification(1500, 8),
     "telescope": lambda: run_telescope(1, 1500),
@@ -38,6 +39,26 @@ def use_worker(monkeypatch, choice: bool) -> None:
 def assert_no_child_left() -> None:
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def alarm(seconds, error):
+    """Raise ``error`` in this process if the block is still running
+    after ``seconds``: a real signal, which interrupts a blocking read."""
+    def expire(signum, frame):
+        raise error
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def hang_guard():
+    # a transport that deadlocks fails here in a minute, not at CI's timeout
+    return alarm(60, TimeoutError("the table did not finish within 60 s"))
 
 
 @pytest.fixture
@@ -87,8 +108,9 @@ def test_a_worker_is_used_for_a_large_run_in_one_thread_with_two_cpus(monkeypatc
 
 
 def test_the_answers_cross_the_pipe_whole_and_in_order():
-    # lists larger than a pipe's buffer, with integers of any size
-    values = [[(-7) ** (i % 100) + j for i in range(20_000)] for j in range(3)]
+    # lists larger than a pipe's buffer, 1 MiB where Linux allows, with
+    # integers of any size
+    values = [[(-7) ** (i % 100) + j for i in range(60_000)] for j in range(3)]
     with pentagon._worker._forked([lambda j=j: values[j] for j in range(3)]) as answers:
         assert list(answers) == values
     assert_no_child_left()
@@ -130,10 +152,12 @@ def break_fork(monkeypatch, sent=0):
 
 def stop_after(monkeypatch, sent, last):
     """The worker sends ``sent`` answers, then calls ``last`` with the
-    next answer's marshal bytes and the pipe's write end; ``dumps`` runs
-    only in the worker, once per task done."""
+    next answer's marshal bytes and the pipe's write end; in the worker
+    ``dumps`` runs once per task done, and in this process it frames
+    what a partitions table publishes to its log, untouched."""
     pipes = []
     pipe = os.pipe
+    parent = os.getpid()
 
     def recorded_pipe():
         pipes.append(pipe())
@@ -143,8 +167,10 @@ def stop_after(monkeypatch, sent, last):
 
     def dumps(value):
         nonlocal count
-        count += 1
         data = marshal.dumps(value)
+        if os.getpid() == parent:
+            return data
+        count += 1
         return data if count <= sent else last(data, pipes[-1][1])
 
     monkeypatch.setattr(os, "pipe", recorded_pipe)
@@ -209,22 +235,102 @@ def test_a_stream_cut_short_costs_only_the_answers_it_lacks(monkeypatch, breakag
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("first_block", (4, 2500))
-def test_the_rounds_give_the_one_process_values_across_round_boundaries(
-        monkeypatch, tasks, first_block):
-    # with a first block of 4, windows of a few entries and chunks that
-    # are empty; with 2500, rounds begin at 5000, and 9999 has one round
-    # where 10000 has two
-    sizes = ((0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 100, 257) if first_block == 4
-             else (4999, 5000, 5001, 9999, 10000))
+@pytest.mark.parametrize("breakage", BREAKAGES[1:], ids=BREAKAGE_IDS[1:])
+@pytest.mark.parametrize("sent", (1, 5))
+def test_a_table_cut_short_computes_here_only_the_blocks_that_did_not_arrive(
+        monkeypatch, tasks, breakage, sent):
+    use_worker(monkeypatch, False)
+    alone = RUNS["partitions"]()
+    use_worker(monkeypatch, True)
+    breakage(monkeypatch, sent)
+    with hang_guard():
+        assert RUNS["partitions"]() == alone
+    given, here = tasks
+    assert len(given) == 25 and here == given[sent:]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("split_from, sizes", (
+    # blocks of a // 3 entries: [3, 4), [4, 5), [5, 6), [6, 8), [8, 10), ...
+    (3, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 16, 17, 63, 64, 100, 257)),
+    # a // 3 up to 768, then 256: [700, 933), [933, 1189), ...
+    (700, (699, 700, 701, 932, 933, 934, 1188, 1189, 2000)),
+    # the default: 256 up to 4096, then a // 16
+    (1500, (1499, 1500, 1501, 1755, 1756, 4999, 5000, 10000)),
+))
+def test_the_split_gives_the_one_process_values_across_block_edges(
+        monkeypatch, tasks, split_from, sizes):
     use_worker(monkeypatch, False)
     alone = [partitions_recurrence(n) for n in sizes]
     use_worker(monkeypatch, True)
-    monkeypatch.setattr(pentagon.partitions, "_FIRST_BLOCK", first_block)
-    assert [partitions_recurrence(n) for n in sizes] == alone
+    monkeypatch.setattr(pentagon.partitions, "_SPLIT_FROM", split_from)
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    with hang_guard():
+        assert [partitions_recurrence(n) for n in sizes] == alone
     given, here = tasks
     assert given and here == []
+    assert len(forks) == sum(n >= split_from for n in sizes)  # one per table
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("how", ("refused", "cut-short"))
+@pytest.mark.parametrize("taken", (0, 1, 5))
+def test_a_log_that_takes_no_more_frames_leaves_the_later_blocks_here(
+        monkeypatch, tasks, how, taken):
+    # the log's file takes `taken` frames, then refuses the next or takes
+    # only half of it: the worker never sees the values the later blocks
+    # read, so this process computes those blocks without awaiting them
+    logs, frames, here = [], [], []
+    memfd_create, write = os.memfd_create, os.write
+    far_sums = pentagon.partitions._far_sums
+    parent = os.getpid()
+
+    def recorded_memfd(*args):
+        logs.append(memfd_create(*args))
+        return logs[-1]
+
+    def full_write(fd, data):
+        if fd in logs:
+            if len(frames) >= taken:
+                if how == "refused":
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return write(fd, data[:len(data) // 2])
+            frames.append(data)
+        return write(fd, data)
+
+    def recorded_far_sums(q, log, terms, a, b):
+        if os.getpid() == parent:
+            here.append((a, b))
+        return far_sums(q, log, terms, a, b)
+
+    use_worker(monkeypatch, False)
+    alone = RUNS["partitions"]()
+    use_worker(monkeypatch, True)
+    monkeypatch.setattr(os, "memfd_create", recorded_memfd)
+    monkeypatch.setattr(os, "write", full_write)
+    monkeypatch.setattr(pentagon.partitions, "_far_sums", recorded_far_sums)
+    with hang_guard():
+        assert RUNS["partitions"]() == alone
+    given, _ = tasks
+    assert len(logs) == 1 and len(given) == 25
+    assert here == [task.args[-2:] for task in given[taken:]]
+    assert_no_child_left()
+
+
+def test_a_reader_stops_awaiting_a_log_whose_writer_is_gone():
+    # the reader closes its own end of the bell before it waits, so once
+    # no writer is left the wait ends, as a worker's does when this
+    # process dies, rather than block for ever
+    with pentagon._worker._Log(0) as log:
+        with pytest.raises(EOFError, match="^the log has no writer left$"):
+            log.extend([], 1)
 
 
 def test_ctrl_c_mid_cascade_kills_the_worker_rather_than_await_it(monkeypatch):
@@ -254,8 +360,8 @@ def test_ctrl_c_mid_cascade_kills_the_worker_rather_than_await_it(monkeypatch):
 
 
 def test_ctrl_c_while_awaiting_far_sums_kills_the_worker(monkeypatch):
-    # the worker stalls, so this process waits on the pipe for its
-    # second chunk until a real signal interrupts the read
+    # the worker stalls, so this process waits on the pipe for the first
+    # far block until a real signal interrupts the read
     far_sums = pentagon.partitions._far_sums
     parent = os.getpid()
 
@@ -264,19 +370,10 @@ def test_ctrl_c_while_awaiting_far_sums_kills_the_worker(monkeypatch):
             time.sleep(60)
         return far_sums(*args)
 
-    def interrupt(signum, frame):
-        raise KeyboardInterrupt
-
     monkeypatch.setattr(pentagon.partitions, "_far_sums", stalled)
     use_worker(monkeypatch, True)
-    previous = signal.signal(signal.SIGALRM, interrupt)
-    try:
-        start = time.monotonic()
-        signal.setitimer(signal.ITIMER_REAL, 1.0)
-        with pytest.raises(KeyboardInterrupt):
-            RUNS["partitions"]()
-        assert time.monotonic() - start < 30
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt), alarm(1.0, KeyboardInterrupt):
+        RUNS["partitions"]()
+    assert time.monotonic() - start < 30
     assert_no_child_left()
