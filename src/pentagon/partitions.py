@@ -13,7 +13,6 @@ enumeration of partitions at small n. All arithmetic is exact.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
@@ -69,9 +68,11 @@ def _far_sums(q: list[int], log: _Log, terms: list[tuple[int, int]],
     ``_add_shifted`` pass per term, into a list grown with zeros to
     that term's last exponent, reads q through an iterator set to its
     first index in O(1), as in ``_div_binomial_inplace``. The reads end
-    below x^(b - b // 4), which ``log`` first extends q to.
+    below x^(b - b // 4): q first receives the values below that from
+    ``log``.
     """
-    log.extend(q, b - b // _JOIN)
+    while len(q) < b - b // _JOIN:
+        q += log.receive()
     out: list[int] = []
     for e, c in terms:
         lo, hi = max(a, e), min(b, _JOIN * e)
@@ -96,17 +97,16 @@ def _reciprocal_coeffs(n: int) -> list[int]:
     term e only from m = 4e on, about half of each entry's reads. A
     worker forked once sums the rest, e <= m < 4e, in blocks [a, b) of
     max(_BLOCK, a // 16) entries, at most a // 3, so a block reads q
-    only below x^(b - b // 4) <= x^a: this process publishes those
-    values to the worker's ``_Log``, which never waits, before it takes
-    the block's far sums, so no wait cycle can form. The blocks are
+    only below x^(b - b // 4) <= x^a: this process sends the values
+    below x^a through a ``_Log``, which never waits, before it takes the
+    block's far sums, so no wait cycle can form. The blocks are
     ``_forked`` tasks: this process computes any that does not arrive,
     and each one after the log takes no more.
     """
     _zeros(n)  # an order no list can hold fails before any term is listed
     terms = pentagonal_terms_upto(n)[1:]
     split = n
-    if (hasattr(os, "memfd_create")
-            and _use_worker(sum(n + 1 - e for e, _ in terms) if n >= _FORK_FROM else 0)):
+    if _use_worker(sum(n + 1 - e for e, _ in terms) if n >= _FORK_FROM else 0):
         split = min(n, _SPLIT_FROM - 1)
     q = _div_sparse(chain((1,), repeat(0, split)), terms)
     cuts = [len(q)]
@@ -114,10 +114,13 @@ def _reciprocal_coeffs(n: int) -> list[int]:
         a = cuts[-1]
         cuts.append(min(n + 1, a + min(a // (_JOIN - 1), max(_BLOCK, a // 16))))
     if len(cuts) > 1:
-        log = _Log(len(q))
+        log = _Log()
         tasks = [partial(_far_sums, q, log, terms, a, b) for a, b in zip(cuts, cuts[1:])]
         with log, _forked(tasks) as answers:
-            far = (next(answers) if log.publish(q) else task() for task in tasks)
+            # each block sends q from the last cut sent; the worker forks
+            # holding q below x^cuts[0], so the first frame starts there
+            far = (next(answers) if log.send(q[sent:]) else task()
+                   for sent, task in zip((cuts[0], *cuts), tasks))
             _div_sparse(chain.from_iterable(far), terms, q, _JOIN)
     return q
 

@@ -58,7 +58,7 @@ def alarm(seconds, error):
 
 def hang_guard():
     # a transport that deadlocks fails here in a minute, not at CI's timeout
-    return alarm(60, TimeoutError("the table did not finish within 60 s"))
+    return alarm(60, TimeoutError("the run did not finish within 60 s"))
 
 
 @pytest.fixture
@@ -103,16 +103,39 @@ def test_a_worker_is_used_for_a_large_run_in_one_thread_with_two_cpus(monkeypatc
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert not use(limit)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.delattr(os, "fork")
-    assert not use(limit)
+    assert use(limit)
+    for name in ("fork", "memfd_create"):
+        with monkeypatch.context() as patch:
+            patch.delattr(os, name)
+            assert not use(limit)
 
 
-def test_the_answers_cross_the_pipe_whole_and_in_order():
-    # lists larger than a pipe's buffer, 1 MiB where Linux allows, with
-    # integers of any size
-    values = [[(-7) ** (i % 100) + j for i in range(60_000)] for j in range(3)]
-    with pentagon._worker._forked([lambda j=j: values[j] for j in range(3)]) as answers:
-        assert list(answers) == values
+# three answers of 1.4 MB each, with integers of any size: each larger
+# than a pipe's buffer, even the 1 MiB Linux allows
+LARGE = [[(-7) ** (i % 100) + j for i in range(60_000)] for j in range(3)]
+
+
+def test_the_answers_cross_the_log_whole_and_in_order():
+    with pentagon._worker._forked([lambda j=j: LARGE[j] for j in range(3)]) as answers:
+        assert list(answers) == LARGE
+    assert_no_child_left()
+
+
+def test_the_worker_runs_ahead_of_a_reader_that_reads_nothing(tmp_path):
+    # each task leaves a marker as it starts; a worker whose sends waited
+    # on this process would never start the last task
+    def task(j):
+        def run():
+            (tmp_path / str(j)).touch()
+            return LARGE[j]
+        return run
+
+    with pentagon._worker._forked([task(j) for j in range(3)]) as answers:
+        deadline = time.monotonic() + 10
+        while not (tmp_path / "2").exists():
+            assert time.monotonic() < deadline, "the worker waited on its reader"
+            time.sleep(0.01)
+        assert list(answers) == LARGE
     assert_no_child_left()
 
 
@@ -138,7 +161,8 @@ def test_a_worker_answers_and_is_gone(monkeypatch, tasks, run):
     alone = RUNS[run]()
     assert tasks == ([], [])
     use_worker(monkeypatch, True)
-    assert RUNS[run]() == alone
+    with hang_guard():
+        assert RUNS[run]() == alone
     given, here = tasks
     assert given and here == []
     assert_no_child_left()
@@ -150,19 +174,27 @@ def break_fork(monkeypatch, sent=0):
     monkeypatch.setattr(os, "fork", no_fork)
 
 
+def record_logs(monkeypatch):
+    """The file of each log opened from now on, in order: a table's own
+    log, then each fork's answer log."""
+    logs = []
+    memfd_create = os.memfd_create
+
+    def recorded_memfd(*args):
+        logs.append(memfd_create(*args))
+        return logs[-1]
+
+    monkeypatch.setattr(os, "memfd_create", recorded_memfd)
+    return logs
+
+
 def stop_after(monkeypatch, sent, last):
     """The worker sends ``sent`` answers, then calls ``last`` with the
-    next answer's marshal bytes and the pipe's write end; in the worker
-    ``dumps`` runs once per task done, and in this process it frames
-    what a partitions table publishes to its log, untouched."""
-    pipes = []
-    pipe = os.pipe
+    next answer's marshal bytes and the file of its answer log; in the
+    worker ``dumps`` runs once per task done, and in this process it
+    frames what a partitions table sends its worker, untouched."""
+    logs = record_logs(monkeypatch)
     parent = os.getpid()
-
-    def recorded_pipe():
-        pipes.append(pipe())
-        return pipes[-1]
-
     count = 0
 
     def dumps(value):
@@ -171,9 +203,8 @@ def stop_after(monkeypatch, sent, last):
         if os.getpid() == parent:
             return data
         count += 1
-        return data if count <= sent else last(data, pipes[-1][1])
+        return data if count <= sent else last(data, logs[-1])
 
-    monkeypatch.setattr(os, "pipe", recorded_pipe)
     monkeypatch.setattr(pentagon._worker, "dumps", dumps)
 
 
@@ -195,8 +226,41 @@ def truncate_frame(monkeypatch, sent=0):
     stop_after(monkeypatch, sent, half)
 
 
-BREAKAGES = (break_fork, exit_silently, truncate_answer, truncate_frame)
-BREAKAGE_IDS = ("fork-fails", "worker-exits-early", "answer-truncated", "frame-truncated")
+def limit_log(monkeypatch, index, taken, half):
+    """The file of the log ``record_logs`` lists at ``index`` takes
+    ``taken`` frames, then refuses the next, as a full file system does,
+    or takes only half of it, then takes any later one whole again;
+    returns the logs."""
+    logs = record_logs(monkeypatch)
+    write = os.write
+    count = 0
+
+    def full_write(fd, data):
+        nonlocal count
+        if fd == logs[index]:
+            count += 1
+            if count == taken + 1:
+                if half:
+                    return write(fd, data[:len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+        return write(fd, data)
+
+    monkeypatch.setattr(os, "write", full_write)
+    return logs
+
+
+def refuse_answer(monkeypatch, sent=0):
+    limit_log(monkeypatch, -1, sent, half=False)
+
+
+def half_take_answer(monkeypatch, sent=0):
+    limit_log(monkeypatch, -1, sent, half=True)
+
+
+BREAKAGES = (break_fork, exit_silently, truncate_answer, truncate_frame,
+             refuse_answer, half_take_answer)
+BREAKAGE_IDS = ("fork-fails", "worker-exits-early", "answer-truncated", "frame-truncated",
+                "answer-refused", "answer-half-taken")
 
 
 @pytest.mark.parametrize("run", RUNS, ids=RUNS)
@@ -207,7 +271,8 @@ def test_this_process_does_the_workers_tasks_when_it_has_no_answer(
     alone = RUNS[run]()
     use_worker(monkeypatch, True)
     breakage(monkeypatch)
-    assert RUNS[run]() == alone
+    with hang_guard():
+        assert RUNS[run]() == alone
     given, here = tasks
     assert given and here == given
     assert_no_child_left()
@@ -284,26 +349,13 @@ def test_the_split_gives_the_one_process_values_across_block_edges(
 @pytest.mark.parametrize("taken", (0, 1, 5))
 def test_a_log_that_takes_no_more_frames_leaves_the_later_blocks_here(
         monkeypatch, tasks, how, taken):
-    # the log's file takes `taken` frames, then refuses the next or takes
-    # only half of it: the worker never sees the values the later blocks
-    # read, so this process computes those blocks without awaiting them
-    logs, frames, here = [], [], []
-    memfd_create, write = os.memfd_create, os.write
+    # the table's log, the first of its two, takes `taken` frames, then
+    # refuses the next or takes only half of it: the worker never sees
+    # whole the values the later blocks read, so this process sends it
+    # no more and computes those blocks without awaiting them
+    here = []
     far_sums = pentagon.partitions._far_sums
     parent = os.getpid()
-
-    def recorded_memfd(*args):
-        logs.append(memfd_create(*args))
-        return logs[-1]
-
-    def full_write(fd, data):
-        if fd in logs:
-            if len(frames) >= taken:
-                if how == "refused":
-                    raise OSError(errno.ENOSPC, "No space left on device")
-                return write(fd, data[:len(data) // 2])
-            frames.append(data)
-        return write(fd, data)
 
     def recorded_far_sums(q, log, terms, a, b):
         if os.getpid() == parent:
@@ -313,13 +365,12 @@ def test_a_log_that_takes_no_more_frames_leaves_the_later_blocks_here(
     use_worker(monkeypatch, False)
     alone = RUNS["partitions"]()
     use_worker(monkeypatch, True)
-    monkeypatch.setattr(os, "memfd_create", recorded_memfd)
-    monkeypatch.setattr(os, "write", full_write)
+    logs = limit_log(monkeypatch, 0, taken, half=how == "cut-short")
     monkeypatch.setattr(pentagon.partitions, "_far_sums", recorded_far_sums)
     with hang_guard():
         assert RUNS["partitions"]() == alone
     given, _ = tasks
-    assert len(logs) == 1 and len(given) == 25
+    assert len(logs) == 2 and len(given) == 25
     assert here == [task.args[-2:] for task in given[taken:]]
     assert_no_child_left()
 
@@ -328,9 +379,9 @@ def test_a_reader_stops_awaiting_a_log_whose_writer_is_gone():
     # the reader closes its own end of the bell before it waits, so once
     # no writer is left the wait ends, as a worker's does when this
     # process dies, rather than block for ever
-    with pentagon._worker._Log(0) as log:
+    with pentagon._worker._Log() as log:
         with pytest.raises(EOFError, match="^the log has no writer left$"):
-            log.extend([], 1)
+            log.receive()
 
 
 def test_ctrl_c_mid_cascade_kills_the_worker_rather_than_await_it(monkeypatch):
@@ -360,7 +411,7 @@ def test_ctrl_c_mid_cascade_kills_the_worker_rather_than_await_it(monkeypatch):
 
 
 def test_ctrl_c_while_awaiting_far_sums_kills_the_worker(monkeypatch):
-    # the worker stalls, so this process waits on the pipe for the first
+    # the worker stalls, so this process waits on the answer log for the first
     # far block until a real signal interrupts the read
     far_sums = pentagon.partitions._far_sums
     parent = os.getpid()
