@@ -11,9 +11,10 @@ two monomials plus a tail of the same shape one stage further along.
 Variant 1 starts from the prefix 1 - x and emits with mixed signs;
 variant 2 starts from 1 - x - x^2, carries bare heads, and emits both
 monomials with the same sign. Every step is replayed numerically in
-the truncated ring, never taken on faith, by one stage checker that
-both runners share and that expands each tail once; a large run's
-later stages are checked in one forked worker process.
+the truncated ring, never taken on faith, by one runner behind both
+entry points: it lists the tails, expands each once, and raises at the
+first failing stage with a message read off the two lists compared
+there; a large run's later stages are checked in one forked worker.
 """
 
 from __future__ import annotations
@@ -259,20 +260,6 @@ def _stage_rhs(record: EmissionRecord, nxt: list[int],
     return want
 
 
-def _stage_holds(lhs: list[int], record: EmissionRecord,
-                 nxt: list[int]) -> bool:
-    """X_s = s1*x^e1 + s2*x^e2 + X_(s+1), at the order of ``lhs``.
-
-    Each X is a tail's expansion times its series sign (-1)^stage, as
-    ``_tail_coeffs`` gives it, and (s1, s2) are the record's series
-    signs. The signs of consecutive tails alternate, so this is the
-    tail's own equation, tail = (tail_signs monomials) - next, times
-    (-1)^stage. A longer ``nxt`` is cut to that order, which is exact; a
-    shorter one cannot show the identity, so it fails.
-    """
-    return lhs == _stage_rhs(record, nxt, len(lhs) - 1)
-
-
 def _step_order(t: TailFamily, order: int | None) -> int:
     # By default, deep enough to see one full term of the next tail, not zeros.
     return g_minus(t.stage + 2) + 5 if order is None else order
@@ -284,68 +271,74 @@ def _signed_tail(t: TailFamily, order: int | None) -> list[int]:
 
 
 def _first_failure(tails: list[TailFamily], records: list[EmissionRecord],
-                   order: int | None, lo: int, hi: int) -> int:
-    """The first stage index in [lo, hi) whose identity fails, else ``hi``.
+                   order: int | None, lo: int, hi: int) -> str | None:
+    """The failure of the first stage in [lo, hi), or None if all hold.
 
-    Stage i checks ``tails[i]`` against ``records[i]`` and ``tails[i +
-    1]``. Each tail is expanded once, in its series sign, for both of
-    its stages; the two signs alternate, so every check is one list
-    comparison.
+    Stage i reads X_s = s1*x^e1 + s2*x^e2 + X_(s+1): X_s from ``tails[i]``,
+    (s1, s2) the series signs of ``records[i]``, X_(s+1) from ``tails[i +
+    1]``, each X a tail times its series sign (-1)^stage, as
+    ``_tail_coeffs`` gives it. The signs alternate, so this is the tail's
+    own equation, tail = (tail_signs monomials) - next, times (-1)^stage:
+    one list comparison at the order of X_s, each tail expanded once for
+    both of its stages. A longer X_(s+1) is cut to that order, which is
+    exact; a shorter one fails, named by how far it reaches. Any other
+    failure names the first exponent where the two sides differ, with
+    the series sign taken back out; it is read off the lists just
+    compared, so it reads the same whichever process found it.
     """
     lhs = _signed_tail(tails[lo], order)
     for i in range(lo, hi):
         nxt = _signed_tail(tails[i + 1], order)
-        if not _stage_holds(lhs, records[i], nxt):
-            return i
+        rhs = _stage_rhs(records[i], nxt, len(lhs) - 1)
+        if lhs != rhs:
+            t, c = tails[i], tails[i].contribution_sign
+            failed = (f"variant {t.variant} stage {t.stage} failed its identity "
+                      f"check at order {len(lhs) - 1}: ")
+            if rhs is None:
+                return failed + f"the next tail reaches only x^{len(nxt) - 1}"
+            e = next(e for e, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+            return failed + (f"first mismatch at x^{e}: tail {c * lhs[e]}, "
+                             f"monomials minus next tail {c * rhs[e]}")
         lhs = nxt
-    return hi
+    return None
 
 
-def _check_stages(tails: list[TailFamily], records: list[EmissionRecord],
-                  order: int | None) -> None:
-    """Check every stage; raise StageVerificationError at the first that fails.
+def _replay(first: TailFamily, stages: int | None,
+            order: int | None) -> tuple[list[EmissionRecord], TailFamily]:
+    """Reduce ``first`` ``stages`` times, or, with stages=None, while the
+    tail's leading exponent is within ``order``, and check every stage.
 
-    ``tails`` holds the n + 1 tails of the n stages in ``records``. A
-    run worth a worker is cut into two contiguous ranges of about equal
-    kernel updates, the boundary tail expanded in both processes.
+    Returns the records and the last tail; raises StageVerificationError
+    at the first stage that fails. A run worth a worker is cut into two
+    contiguous ranges of about equal kernel updates, the boundary tail
+    expanded in both processes.
     """
-    n = len(records)
-    work, total = [], 0  # work[i]: the updates of tails[0..i]
-    for t in tails:
-        total += _updates(t, _step_order(t, order))
-        work.append(total)
+    if order is not None:
+        # an order no list can hold fails here, before the stages are listed
+        _zeros(order)
+    tails, records = [first], []
+    # work[i]: the kernel updates of tails[0..i]
+    work = [_updates(first, _step_order(first, order))]
+    while (tails[-1].leading_exponent <= order if stages is None
+           else len(records) < stages):
+        record, t = reduce_step(tails[-1])
+        records.append(record)
+        tails.append(t)
+        work.append(work[-1] + _updates(t, _step_order(t, order)))
+    n, total = len(records), work[-1]
     if n > 1 and _use_worker(total):
         mid = min(range(1, n),
                   key=lambda m: max(work[m], total - work[m - 1]))
         # a failure in [0, mid) is the first, so it does not await the worker
         with _forked((lambda: _first_failure(tails, records, order, mid, n),)) as later:
-            failed = _first_failure(tails, records, order, 0, mid)
-            if failed == mid:
-                (failed,) = later
+            failure = _first_failure(tails, records, order, 0, mid)
+            if failure is None:
+                (failure,) = later
     else:
-        failed = _first_failure(tails, records, order, 0, n)
-    if failed < n:
-        raise _stage_error(tails[failed], records[failed], tails[failed + 1],
-                           order)
-
-
-def _stage_error(t: TailFamily, record: EmissionRecord, nxt: TailFamily,
-                 order: int | None) -> StageVerificationError:
-    """The failure of the stage that reduces ``t``, read off its two tails
-    expanded again, so it reads the same whichever process found it.
-
-    It names the first exponent at which the two sides of the tail's own
-    equation, tail = (tail_signs monomials) - next, differ: the series
-    sign (-1)^stage is taken back out of both.
-    """
-    lhs = _signed_tail(t, order)
-    rhs = _stage_rhs(record, _signed_tail(nxt, order), len(lhs) - 1)
-    e = next(e for e, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-    c = t.contribution_sign
-    return StageVerificationError(
-        f"variant {t.variant} stage {t.stage} failed its identity check at "
-        f"order {len(lhs) - 1}: first mismatch at x^{e}: tail {c * lhs[e]}, "
-        f"monomials minus next tail {c * rhs[e]}")
+        failure = _first_failure(tails, records, order, 0, n)
+    if failure is not None:
+        raise StageVerificationError(failure)
+    return records, tails[-1]
 
 
 def replay_stages(variant: int, stages: int,
@@ -370,15 +363,7 @@ def replay_stages(variant: int, stages: int,
             raise ValueError(
                 f"stage {t.stage - 1} needs order >= {t.leading_exponent} "
                 f"(its next tail's leading exponent), got {order}")
-        # an order no list can hold fails here, before the stages are listed
-        _zeros(order)
-    tails, records = [first], []
-    for _ in range(stages):
-        record, t = reduce_step(tails[-1])
-        records.append(record)
-        tails.append(t)
-    _check_stages(tails, records, order)
-    return records
+    return _replay(first, stages, order)[0]
 
 
 def run_telescope(variant: int, order: int) -> DerivationTrace:
@@ -388,13 +373,6 @@ def run_telescope(variant: int, order: int) -> DerivationTrace:
     the order, which also bounds the residual tail's leading exponent.
     """
     _require_int(order, "order", 2)
-    # an order no list can hold fails here, before the stages are listed
-    _zeros(order)
-    tails, records = [initial_tail(variant)], []
-    while tails[-1].leading_exponent <= order:
-        record, t = reduce_step(tails[-1])
-        records.append(record)
-        tails.append(t)
-    _check_stages(tails, records, order)
+    records, residual = _replay(initial_tail(variant), None, order)
     return DerivationTrace(variant, order, emissions=tuple(records),
-                           residual=tails[-1])
+                           residual=residual)

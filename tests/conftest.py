@@ -1,6 +1,9 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and worker helpers shared by the test modules."""
 
 import dataclasses
+import os
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -22,13 +25,44 @@ def broken_reduce_step(monkeypatch):
     monkeypatch.setattr(pentagon.telescope, "reduce_step", off_by_one)
 
 
+def use_worker(monkeypatch, choice: bool) -> None:
+    """Make every telescope, verify and partitions run fork a worker
+    (True) or stay in this process (False), whatever its size."""
+    for module in (pentagon.partitions, pentagon.telescope, pentagon.verify):
+        monkeypatch.setattr(module, "_use_worker", lambda updates: choice)
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def alarm(seconds, error):
+    """Raise ``error`` in this process if the block is still running
+    after ``seconds``: a real signal, which interrupts a blocking read."""
+    def expire(signum, frame):
+        raise error
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def hang_guard():
+    # a transport that deadlocks fails here in a minute, not at CI's timeout
+    return alarm(60, TimeoutError("the run did not finish within 60 s"))
+
+
 @pytest.fixture
 def one_process(monkeypatch):
     """Keep every telescope, verify and partitions run in this process, so
     spies see all of its work: no run forks a worker for its later
     stages, the far end of its division cascade or its far sums."""
-    for module in (pentagon.partitions, pentagon.telescope, pentagon.verify):
-        monkeypatch.setattr(module, "_use_worker", lambda updates: False)
+    use_worker(monkeypatch, False)
 
 
 @pytest.fixture

@@ -40,6 +40,38 @@ def test_every_module_level_import_is_used_or_exported(path):
     assert unused == []
 
 
+def private_definitions(node):
+    """The private names a module-level statement defines: a function's,
+    a class's, or a constant's."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = {node.name}
+    elif isinstance(node, ast.Assign):
+        names = {t.id for t in node.targets if isinstance(t, ast.Name)}
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        names = {node.target.id}
+    else:
+        names = set()
+    return {name for name in names
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def test_every_private_name_is_used_in_the_package():
+    # a private helper that only tests still reach is dead code that
+    # looks alive; a use inside the name's own definition does not count
+    statements = [(path.name, node) for path in MODULES
+                  for node in ast.parse(path.read_text(), filename=str(path)).body]
+    used = set()
+    for _, node in statements:
+        loaded = {n.id for n in ast.walk(node)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        loaded |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        used |= loaded - private_definitions(node)
+    unused = sorted(f"{name} ({module}, line {node.lineno})"
+                    for module, node in statements
+                    for name in private_definitions(node) - used)
+    assert unused == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_all_entry_resolves(path):
     module = importlib.import_module(

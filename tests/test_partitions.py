@@ -24,6 +24,7 @@ from pentagon.pentagonal import (
 )
 from pentagon.series import mul, one
 
+from conftest import use_worker
 
 def test_reciprocal_series_examples():
     assert reciprocal_series(0).coeffs == (1,)
@@ -189,7 +190,7 @@ def test_split_reads_each_offset_once_between_far_sums_and_kernel(monkeypatch):
         return q
 
     monkeypatch.setattr(os, "fork", no_fork)
-    monkeypatch.setattr(pentagon.partitions, "_use_worker", lambda updates: True)
+    use_worker(monkeypatch, True)
     monkeypatch.setattr(pentagon.partitions, "_add_shifted", counted_pass)
     monkeypatch.setattr(pentagon.partitions, "_div_sparse", counted_division)
     values = partitions_recurrence(10000).values

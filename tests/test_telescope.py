@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import pentagon._worker
 import pentagon.telescope
+from pentagon.cli import main
 from pentagon.pentagonal import closed_form_series, g_minus, g_plus
 from pentagon.series import TruncatedSeries, format_series, mul_binomial
 from pentagon.telescope import (
@@ -18,7 +19,7 @@ from pentagon.telescope import (
     EmissionRecord,
     StageVerificationError,
     TailFamily,
-    _stage_holds,
+    _stage_rhs,
     _tail_coeffs,
     expand_tail,
     initial_tail,
@@ -26,6 +27,8 @@ from pentagon.telescope import (
     replay_stages,
     run_telescope,
 )
+
+from conftest import assert_no_child_left, hang_guard, use_worker
 
 
 def canonical_tail(variant: int, stage: int) -> TailFamily:
@@ -280,9 +283,9 @@ def test_corrupted_next_tail_fails_identity():
         record, nxt = reduce_step(tail)
         order = g_minus(tail.stage + 2) + 5
         lhs = signed_coeffs(tail, order)
-        assert _stage_holds(lhs, record, signed_coeffs(nxt, order))
+        assert lhs == _stage_rhs(record, signed_coeffs(nxt, order), len(lhs) - 1)
         shifted = dataclasses.replace(nxt, base=nxt.base + 1)
-        assert not _stage_holds(lhs, record, signed_coeffs(shifted, order))
+        assert lhs != _stage_rhs(record, signed_coeffs(shifted, order), len(lhs) - 1)
 
 
 def test_corrupted_emission_fails_identity():
@@ -290,11 +293,11 @@ def test_corrupted_emission_fails_identity():
     record, nxt = reduce_step(tail)
     order = g_minus(5) + 5
     lhs, rest = signed_coeffs(tail, order), signed_coeffs(nxt, order)
-    assert _stage_holds(lhs, record, rest)
+    assert lhs == _stage_rhs(record, rest, len(lhs) - 1)
     wrong_exp = dataclasses.replace(record, second_exponent=record.second_exponent + 1)
-    assert not _stage_holds(lhs, wrong_exp, rest)
+    assert lhs != _stage_rhs(wrong_exp, rest, len(lhs) - 1)
     wrong_sign = dataclasses.replace(record, first_sign=-record.first_sign)
-    assert not _stage_holds(lhs, wrong_sign, rest)
+    assert lhs != _stage_rhs(wrong_sign, rest, len(lhs) - 1)
 
 
 def test_corrupted_bare_head_flag_fails_identity():
@@ -302,9 +305,9 @@ def test_corrupted_bare_head_flag_fails_identity():
     record, nxt = reduce_step(tail)
     order = g_minus(5) + 5
     lhs = signed_coeffs(tail, order)
-    assert _stage_holds(lhs, record, signed_coeffs(nxt, order))
+    assert lhs == _stage_rhs(record, signed_coeffs(nxt, order), len(lhs) - 1)
     flipped = dataclasses.replace(nxt, includes_bare_head=False)
-    assert not _stage_holds(lhs, record, signed_coeffs(flipped, order))
+    assert lhs != _stage_rhs(record, signed_coeffs(flipped, order), len(lhs) - 1)
 
 
 @pytest.mark.parametrize("variant", (1, 2))
@@ -315,11 +318,11 @@ def test_a_next_expansion_shorter_than_the_tail_fails_identity(variant):
     record, nxt = reduce_step(tail)
     order = g_minus(tail.stage + 2) + 5
     lhs = signed_coeffs(tail, order)
-    assert _stage_holds(lhs, record, signed_coeffs(nxt, order))
-    assert _stage_holds(lhs, record, signed_coeffs(nxt, order + 7))
+    assert lhs == _stage_rhs(record, signed_coeffs(nxt, order), len(lhs) - 1)
+    assert lhs == _stage_rhs(record, signed_coeffs(nxt, order + 7), len(lhs) - 1)
     short = signed_coeffs(nxt, order - 1)
     assert record.second_exponent < len(short)
-    assert not _stage_holds(lhs, record, short)
+    assert lhs != _stage_rhs(record, short, len(lhs) - 1)
 
 
 @pytest.mark.parametrize("variant", (1, 2))
@@ -331,10 +334,10 @@ def test_a_next_tail_out_of_its_series_sign_fails_identity(variant):
     assert nxt.contribution_sign == -1
     order = g_minus(tail.stage + 2) + 5
     lhs = signed_coeffs(tail, order)
-    assert _stage_holds(lhs, record, signed_coeffs(nxt, order))
+    assert lhs == _stage_rhs(record, signed_coeffs(nxt, order), len(lhs) - 1)
     unsigned = _tail_coeffs(nxt, order, 1)
     assert unsigned == list(expand_tail(nxt, order).coeffs)
-    assert not _stage_holds(lhs, record, unsigned)
+    assert lhs != _stage_rhs(record, unsigned, len(lhs) - 1)
 
 
 def test_emissions_match_pentagonal_formulas():
@@ -508,8 +511,8 @@ def test_replay_stages_rejects_order_below_last_stage(monkeypatch, variant,
 def test_replay_stages_finds_the_last_tail_in_closed_form(monkeypatch, variant):
     # the order check agrees with a walk of reduce_step at every count;
     # no stage is checked, so only the order check can raise
-    monkeypatch.setattr(pentagon.telescope, "_check_stages",
-                        lambda tails, records, order: None)
+    monkeypatch.setattr(pentagon.telescope, "_first_failure",
+                        lambda tails, records, order, lo, hi: None)
     t = initial_tail(variant)
     records = []
     for stages in range(1, 41):
@@ -595,15 +598,6 @@ def parent_ranges(monkeypatch):
     return ranges
 
 
-def use_worker(monkeypatch, choice: bool) -> None:
-    monkeypatch.setattr(pentagon.telescope, "_use_worker", lambda updates: choice)
-
-
-def assert_no_child_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("variant", (1, 2))
 @pytest.mark.parametrize("order", (500, 1500), ids=("below", "above"))
 def test_a_worker_returns_what_the_serial_check_returns(monkeypatch, parent_ranges,
@@ -620,7 +614,8 @@ def test_a_worker_returns_what_the_serial_check_returns(monkeypatch, parent_rang
         serial = run()
         use_worker(monkeypatch, True)
         parent_ranges.clear()
-        split = run()
+        with hang_guard():
+            split = run()
         assert split == serial
         if isinstance(split, DerivationTrace):
             assert split.residual == serial.residual
@@ -686,13 +681,74 @@ def test_telescope_failure_names_the_first_mismatch(broken_reduce_step):
         replay_stages(2, 2)
 
 
+def report_next_tail_early(monkeypatch, stage) -> None:
+    """reduce_step labels the tail after this stage two stages early, and
+    the tail after that rightly again: the series sign is the same, but
+    the default order drops below the stage's own, so only this stage's
+    check fails, short of a list."""
+    reduce = pentagon.telescope.reduce_step
+
+    def early(t):
+        record, nxt = reduce(t)
+        if t.step in (stage, stage + 1):  # a tail's step is its true stage
+            nxt = dataclasses.replace(
+                nxt, stage=t.step - 1 if t.step == stage else t.step + 1)
+        return record, nxt
+
+    monkeypatch.setattr(pentagon.telescope, "reduce_step", early)
+
+
+@pytest.mark.parametrize("variant, bad, early", (
+    (1, 2, True), (1, 30, False), (2, 2, True), (2, 31, False),
+), ids=("v1-early", "v1-last", "v2-early", "v2-last"))
+def test_a_next_tail_expanded_short_fails_its_stage_by_name(
+        monkeypatch, capsys, parent_ranges, variant, bad, early):
+    # used to raise TypeError from the failure text, and the CLI printed
+    # a traceback; the stage's order is g(s+2) + 5, its next tail's g(s+1) + 5
+    report_next_tail_early(monkeypatch, bad)
+    message = (f"variant {variant} stage {bad} failed its identity check at "
+               f"order {g_minus(bad + 2) + 5}: the next tail reaches only "
+               f"x^{g_minus(bad + 1) + 5}")
+    for worker in (False, True):
+        use_worker(monkeypatch, worker)
+        parent_ranges.clear()
+        with hang_guard(), pytest.raises(StageVerificationError) as failure:
+            replay_stages(variant, 30)
+        assert str(failure.value) == message
+        assert_no_child_left()
+        # with the worker, this process checks the early stages only
+        [(lo, hi)] = parent_ranges
+        checked_here = bad - initial_tail(variant).stage < hi
+        assert lo == 0 and checked_here == (early or not worker)
+    assert main(["telescope", "--variant", str(variant), "--stages", "30"]) == 1
+    assert capsys.readouterr().err == f"verification failed: {message}\n"
+
+
+def test_neither_runner_calls_the_other(monkeypatch):
+    # a tracer wraps both runners at their module bindings and counts one
+    # run per call; a runner reaching the other through the module would
+    # count that run twice
+    calls = []
+    for name in ("run_telescope", "replay_stages"):
+        def spy(*args, name=name, runner=getattr(pentagon.telescope, name)):
+            calls.append(name)
+            return runner(*args)
+        monkeypatch.setattr(pentagon.telescope, name, spy)
+    for name, args in (("run_telescope", (1, 60)), ("run_telescope", (2, 60)),
+                       ("replay_stages", (1, 5)), ("replay_stages", (2, 5, 70))):
+        calls.clear()
+        getattr(pentagon.telescope, name)(*args)
+        assert calls == [name]
+
+
 def test_no_worker_outlives_its_run(monkeypatch):
     use_worker(monkeypatch, True)
-    records = run_telescope(1, 1500).emissions
+    with hang_guard():
+        records = run_telescope(1, 1500).emissions
     assert_no_child_left()
     for bad in ({records[0].stage}, {records[-1].stage}):
         flip_first_sign(monkeypatch, bad)
-        with pytest.raises(StageVerificationError):
+        with hang_guard(), pytest.raises(StageVerificationError):
             run_telescope(1, 1500)
         assert_no_child_left()
 
@@ -711,7 +767,7 @@ def test_ctrl_c_kills_the_worker_rather_than_await_it(monkeypatch):
 
     monkeypatch.setattr(pentagon.telescope, "_first_failure", interrupted)
     start = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
+    with hang_guard(), pytest.raises(KeyboardInterrupt):
         run_telescope(1, 1500)
     assert time.monotonic() - start < 30
     assert_no_child_left()
@@ -738,13 +794,14 @@ def test_the_later_stages_fall_back_to_this_process(monkeypatch, parent_ranges,
 
         monkeypatch.setattr(pentagon.telescope, "_first_failure", silent)
     parent_ranges.clear()
-    assert run_telescope(1, 1500) == serial
+    with hang_guard():
+        assert run_telescope(1, 1500) == serial
     [(lo, mid), (mid_again, n)] = parent_ranges
     assert lo == 0 < mid == mid_again < n == len(serial.emissions)
     assert_no_child_left()
     # a failure in the later stages is still found, here
     flip_first_sign(monkeypatch, {serial.emissions[-1].stage})
-    with pytest.raises(StageVerificationError, match=(
+    with hang_guard(), pytest.raises(StageVerificationError, match=(
             f"^variant 1 stage {serial.emissions[-1].stage} failed")):
         run_telescope(1, 1500)
     assert_no_child_left()

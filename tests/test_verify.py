@@ -1,7 +1,6 @@
 """Division cascade, root multiplicities, and the bundled check suite."""
 
 import math
-import os
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +17,8 @@ from pentagon.series import (
     product_range,
 )
 from pentagon.verify import CheckResult, _first_root_mismatch, full_verification
+
+from conftest import assert_no_child_left, hang_guard, use_worker
 
 
 def cascade_quotients(order):
@@ -199,15 +200,6 @@ def test_partial_product_value_at_one_is_zero_like():
     assert sum(series.coeffs) == 0
 
 
-def use_worker(monkeypatch, choice: bool) -> None:
-    monkeypatch.setattr(pentagon.verify, "_use_worker", lambda updates: choice)
-
-
-def assert_no_child_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.fixture
 def parent_factors(monkeypatch):
     """The cascade factors this process divides by; a forked worker's
@@ -236,7 +228,8 @@ def test_a_worker_returns_what_one_process_returns(monkeypatch, parent_factors,
     assert parent_factors == list(range(1, order + 1))
     use_worker(monkeypatch, True)
     parent_factors.clear()
-    assert full_verification(order, 8) == alone
+    with hang_guard():
+        assert full_verification(order, 8) == alone
     assert_no_child_left()
     # this process divided up to the step that splits the updates evenly
     m = len(parent_factors)
@@ -290,7 +283,8 @@ def test_each_corruption_fails_only_its_own_check(monkeypatch, corrupt, failing,
     corrupt(monkeypatch)
     for order, worker in ((60, False), (1500, False), (1500, True)):
         use_worker(monkeypatch, worker)
-        checks = full_verification(order, 6)
+        with hang_guard():
+            checks = full_verification(order, 6)
         assert [c.passed for c in checks] == [i != failing for i in range(3)]
         assert checks[failing].detail == detail
         assert_no_child_left()

@@ -5,10 +5,8 @@ run ends."""
 import errno
 import marshal
 import os
-import signal
 import threading
 import time
-from contextlib import contextmanager
 
 import pytest
 
@@ -20,6 +18,8 @@ from pentagon.partitions import partitions_recurrence
 from pentagon.telescope import run_telescope
 from pentagon.verify import full_verification
 
+from conftest import alarm, assert_no_child_left, hang_guard, use_worker
+
 MODULES = (pentagon.partitions, pentagon.telescope, pentagon.verify)
 
 # Each run is above the worker's break-even; the partition table at
@@ -29,36 +29,6 @@ RUNS = {
     "telescope": lambda: run_telescope(1, 1500),
     "partitions": lambda: partitions_recurrence(10000),
 }
-
-
-def use_worker(monkeypatch, choice: bool) -> None:
-    for module in MODULES:
-        monkeypatch.setattr(module, "_use_worker", lambda updates: choice)
-
-
-def assert_no_child_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@contextmanager
-def alarm(seconds, error):
-    """Raise ``error`` in this process if the block is still running
-    after ``seconds``: a real signal, which interrupts a blocking read."""
-    def expire(signum, frame):
-        raise error
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def hang_guard():
-    # a transport that deadlocks fails here in a minute, not at CI's timeout
-    return alarm(60, TimeoutError("the run did not finish within 60 s"))
 
 
 @pytest.fixture
