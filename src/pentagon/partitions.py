@@ -127,7 +127,6 @@ def _reciprocal_coeffs(n: int) -> list[int]:
 
 def reciprocal_series(order: int) -> TruncatedSeries:
     """The series r with closed_form * r = 1 at this order."""
-    _require_int(order, "order")
     return TruncatedSeries(tuple(_reciprocal_coeffs(order)))
 
 

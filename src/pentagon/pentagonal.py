@@ -70,7 +70,6 @@ def pentagonal_terms_upto(order: int) -> list[tuple[int, int]]:
 
 def closed_form_series(order: int) -> TruncatedSeries:
     """The sparse expansion of prod (1 - x^k), assembled term by term."""
-    _require_int(order, "order")
     coeffs = _zeros(order)
     for exponent, sign in pentagonal_terms_upto(order):
         coeffs[exponent] = sign

@@ -97,7 +97,6 @@ def _check_index(index: object, last: int, name: str) -> None:
 
 def make_series(coeffs: list[int] | tuple[int, ...], order: int) -> TruncatedSeries:
     """Build a series from low-order coefficients, zero-filling up to x^order."""
-    _require_int(order, "order")
     out = _zeros(order)
     if len(coeffs) > order + 1:
         raise ValueError(f"{len(coeffs)} coefficients do not fit in order {order}")
@@ -113,9 +112,8 @@ def one(order: int) -> TruncatedSeries:
 def monomial(exponent: int, order: int, coeff: int = 1) -> TruncatedSeries:
     """coeff * x^exponent, or the zero series if the exponent exceeds the order."""
     _require_int(exponent, "exponent", 0)
-    _require_int(order, "order")
-    _require_int(coeff, "coeff")
     out = _zeros(order)
+    _require_int(coeff, "coeff")
     if exponent <= order:
         out[exponent] = coeff
     return TruncatedSeries(tuple(out))
@@ -302,7 +300,6 @@ def product_range(first: int, last: int, order: int) -> TruncatedSeries:
     """
     _require_int(first, "first", 1)
     _require_int(last, "last")
-    _require_int(order, "order")
     cur = _zeros(order)
     cur[0] = 1
     if first == 1 and last >= order:

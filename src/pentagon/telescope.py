@@ -115,7 +115,7 @@ class DerivationTrace:
 
     def __post_init__(self) -> None:
         _require_int(self.variant, "variant", 1, 2)
-        _require_int(self.order, "order")
+        _require_int(self.order, "order", 0)
 
     @property
     def prefix(self) -> tuple[tuple[int, int], ...]:
@@ -125,17 +125,18 @@ class DerivationTrace:
     def reconstruct(self) -> TruncatedSeries:
         """Assemble prefix plus signed emissions into a series.
 
-        Exact at this order: the residual tail's leading exponent is
-        beyond it, so dropping the residual loses nothing.
+        Terms above this order are dropped. Exact at this order: the
+        residual tail's leading exponent is beyond it, so dropping the
+        residual loses nothing.
         """
         coeffs = _zeros(self.order)
-        for exponent, coeff in self.prefix:
-            coeffs[exponent] = coeff
-        for record in self.emissions:
-            if record.first_exponent <= self.order:
-                coeffs[record.first_exponent] += record.first_sign
-            if record.second_exponent <= self.order:
-                coeffs[record.second_exponent] += record.second_sign
+        terms = list(self.prefix)
+        for r in self.emissions:
+            terms += ((r.first_exponent, r.first_sign),
+                      (r.second_exponent, r.second_sign))
+        for exponent, coeff in terms:
+            if exponent <= self.order:
+                coeffs[exponent] += coeff
         return TruncatedSeries(tuple(coeffs))
 
 
@@ -202,7 +203,6 @@ def expand_tail(t: TailFamily, order: int) -> TruncatedSeries:
     stage checker takes the same list, already in the tail's series
     sign, from ``_tail_coeffs``.
     """
-    _require_int(order, "order")
     return TruncatedSeries(tuple(_tail_coeffs(t, order, 1)))
 
 

@@ -37,7 +37,7 @@ from itertools import islice
 from ._worker import _forked, _use_worker
 from .pentagonal import closed_form_series
 from .series import (TruncatedSeries, _add_shifted, _div_binomial_inplace,
-                     _require_int, _zeros, partial_product, product_range)
+                     _require_int, partial_product, product_range)
 
 # The root sweep does about D^3/6 coefficient updates: about 3 s at
 # D = 500 and 31 s at D = 1000 on a 2-vCPU Xeon.
@@ -118,7 +118,8 @@ def full_verification(order: int, roots_max_d: int = 12) -> list[CheckResult]:
     """
     _require_int(order, "order", 2)
     _require_int(roots_max_d, "roots_max_d", 1, _ROOTS_MAX_D)
-    _zeros(order)  # an order no list can hold fails before any fork
+    # needed anyway, and built first: an order no list can hold fails here
+    closed = closed_form_series(order)
     # cascade step k and sweep factor k each update max(0, order - 2k)
     # entries: m * (order - m - 1) in steps 1..m, for m <= order/2
     half = order // 2
@@ -132,7 +133,6 @@ def full_verification(order: int, roots_max_d: int = 12) -> list[CheckResult]:
     results = []
     with _forked((far_end,)) if m < order else nullcontext((far_end(),)) as answers:
         product = partial_product(order, order).coeffs
-        closed = closed_form_series(order)
         quotient = next(islice(_cascade(closed), m, None))
         (remaining,) = answers
     e = next((i for i, a in enumerate(closed.coeffs) if a != product[i]), None)

@@ -158,3 +158,30 @@ def test_nothing_in_the_core_is_floating_point(path):
     # every verdict the package prints is decided in exact integers
     tree = ast.parse(path.read_text(), filename=str(path))
     assert [f"{what} (line {line})" for what, line in float_uses(tree)] == []
+
+
+def repeated_order_checks(tree):
+    """(function, argument) for each type-only ``_require_int`` that a
+    later ``_zeros`` call on the same argument in that function repeats:
+    ``_zeros`` checks the type itself, and names a negative order or one
+    no list can hold."""
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        calls = sorted((node for node in ast.walk(func) if isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)),
+                       key=lambda node: (node.lineno, node.col_offset))
+        checked = set()
+        for call in calls:
+            if (call.func.id == "_require_int" and len(call.args) == 2
+                    and not call.keywords):
+                checked.add(ast.unparse(call.args[0]))
+            elif call.func.id == "_zeros" and ast.unparse(call.args[0]) in checked:
+                yield func.name, ast.unparse(call.args[0])
+
+
+def test_no_order_is_checked_before_zeros_checks_it():
+    repeats = [f"{path.name}: {func} ({arg})" for path in MODULES
+               for func, arg in repeated_order_checks(
+                   ast.parse(path.read_text(), filename=str(path)))]
+    assert repeats == []

@@ -391,6 +391,16 @@ def test_run_telescope_smallest_order():
     assert format_series(trace.reconstruct()) == "1 - x - x^2"
 
 
+@pytest.mark.parametrize("variant, order, expected", (
+    # (1, 0) and (2, 1) used to raise IndexError writing a prefix term
+    (1, 0, "1"), (1, 1, "1 - x"), (1, 2, "1 - x"),
+    (2, 0, "1"), (2, 1, "1 - x"), (2, 2, "1 - x - x^2"),
+))
+def test_a_trace_reconstructs_its_prefix_cut_to_its_order(variant, order, expected):
+    trace = DerivationTrace(variant, order, (), initial_tail(variant))
+    assert format_series(trace.reconstruct()) == expected
+
+
 def test_run_telescope_rejects_tiny_order():
     with pytest.raises(ValueError):
         run_telescope(1, 1)
@@ -455,6 +465,9 @@ def test_variants_emit_identical_term_multisets(order):
     # reconstruct used to raise a bare TypeError from the list multiply
     (lambda: DerivationTrace(1, 5.0, (), initial_tail(1)),
      "order must be an int, got 5.0"),
+    # used to be built, and only reconstruct named the order
+    (lambda: DerivationTrace(1, -1, (), initial_tail(1)),
+     "order must be >= 0, got -1"),
     (lambda: TailFamily(1, 0, 1, 1, False), "stage must be >= 1, got 0"),
     (lambda: TailFamily(1, 1, 0, 1, False), "base must be >= 1, got 0"),
     (lambda: TailFamily(1, 1, 1, 0, False), "step must be >= 1, got 0"),

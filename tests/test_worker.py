@@ -15,7 +15,7 @@ import pentagon.partitions
 import pentagon.telescope
 import pentagon.verify
 from pentagon.partitions import partitions_recurrence
-from pentagon.telescope import run_telescope
+from pentagon.telescope import replay_stages, run_telescope
 from pentagon.verify import full_verification
 
 from conftest import alarm, assert_no_child_left, hang_guard, use_worker
@@ -136,6 +136,22 @@ def test_a_worker_answers_and_is_gone(monkeypatch, tasks, run):
     given, here = tasks
     assert given and here == []
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("run", (
+    lambda: full_verification(2**62),
+    lambda: run_telescope(1, 2**62),
+    lambda: replay_stages(1, 3, 2**62),
+    lambda: partitions_recurrence(2**62),
+), ids=("verify", "telescope", "telescope-stages", "partitions"))
+def test_an_order_no_list_can_hold_fails_before_any_split_or_fork(monkeypatch, run):
+    # a split weighed at this order would outlast the guard, and a fork
+    # fails the test at once
+    use_worker(monkeypatch, True)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a worker was forked"))
+    with hang_guard(), pytest.raises(
+            ValueError, match=f"^order: {2**62} is too large to hold$"):
+        run()
 
 
 def break_fork(monkeypatch, sent=0):
