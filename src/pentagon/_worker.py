@@ -1,14 +1,14 @@
-"""One forked worker for the telescope, verify and partitions runs worth a
-second CPU.
+"""One forked worker for the telescope and partitions runs worth a second
+CPU.
 
 A run hands ``_forked`` a list of tasks. The worker, a copy of the run
 made with ``os.fork()``, computes them in turn and sends each answer
 through a ``_Log`` as soon as it has it, while this process goes on
-with its own share: a telescope or verify run sends one task, a
-partition table one per block of its far sums, and sends the worker the
-values they read through a second ``_Log``. A log never waits on its
-reader, so the worker can run any number of answers ahead. Any answer
-that does not arrive whole is computed here instead.
+with its own share: a telescope run sends one task, a partition table
+one per block of its far sums, and sends the worker the values they
+read through a second ``_Log``. A log never waits on its reader, so the
+worker can run any number of answers ahead. Any answer that does not
+arrive whole is computed here instead.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ from marshal import dumps, loads
 # Kernel updates from which a run forks a worker; a fork, kill and reap
 # cost about 3 ms. On a 2-vCPU Xeon (Python 3.11.7, alternating
 # calls) a telescope run took 1.5x its serial time at 65k updates,
-# 0.9-1.2x at 150k-210k and 0.7-0.9x at 260k-320k; a verify run 1.3x at
-# 62k, 1.0x at 120k-160k and 0.9x at 200k-320k; a partition table, one
-# update per term read, 1.00-1.12x at 272k (n = 4000), 0.93-0.98x at
-# 380k (5000), from where it forks, and 0.85-0.91x at 500k (6000).
+# 0.9-1.2x at 150k-210k and 0.7-0.9x at 260k-320k; a partition table,
+# one update per term read, 1.00-1.12x at 272k (n = 4000), 0.93-0.98x
+# at 380k (5000), from where it forks, and 0.85-0.91x at 500k (6000).
 _WORKER_UPDATES = 200_000
 # bytes of the length that precedes each frame in a log
 _HEADER = 8

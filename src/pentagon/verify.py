@@ -17,10 +17,13 @@ k > order/2. A list without that head, which only a wrong quotient has,
 is divided in full from there on, so every step is exact. As division by
 (1 - x^k) is exact and invertible, the quotient Q_m after step m is the
 product R_m of the factors above m exactly when the input is the
-product P; ``full_verification`` compares the two, R_m built by a forked
-worker while this process divides (in one process m = order, R_m = 1).
-Q_m - R_m is (input - P) times a unit for every m, so a wrong input
-shows at the same first exponent whatever m is. The root check builds
+product P; ``full_verification`` compares the two at m = isqrt(order).
+Steps 1..m cost about m * order updates, and ``product_range`` builds
+R_m by the number of factors taken, about 2 * order * (order/m), so
+the check does about 2 * order^1.5 updates, in this process, where
+dividing to the end costs order^2/4. Q_m - R_m is (input - P) times a
+unit for every m, so a wrong input shows at the same first exponent
+whatever m is. The root check builds
 P_m = prod_(k<=m)(1 - x^k) once through the series kernel
 ``_add_shifted``; summed by exponent mod d, it is exactly P_m in
 Z[x]/(x^d - 1). No root is ever evaluated as a complex number: nothing
@@ -30,11 +33,10 @@ is floating point.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import islice
+from math import isqrt
 
-from ._worker import _forked, _use_worker
 from .pentagonal import closed_form_series
 from .series import (TruncatedSeries, _add_shifted, _div_binomial_inplace,
                      _require_int, partial_product, product_range)
@@ -110,31 +112,22 @@ def full_verification(order: int, roots_max_d: int = 12) -> list[CheckResult]:
 
     Each check is one exact verdict on its own input. The closed form
     is compared with ``partial_product(order, order)``, the product
-    ``expand`` prints; the cascade of the closed form after step m must
-    equal the product of the factors above m (m = order, that product
-    1, in one process); the root product must vanish at each primitive
-    d-th root exactly from m = d on, for d <= ``roots_max_d`` (at most
-    500). The detail of a failing check names its first mismatch.
+    ``expand`` prints; the cascade of the closed form after step
+    m = isqrt(order) must equal ``product_range(m + 1, order, order)``,
+    the product of the factors above m; the root product must vanish at
+    each primitive d-th root exactly from m = d on, for
+    d <= ``roots_max_d`` (at most 500). The detail of a failing check
+    names its first mismatch. All of it runs in this process.
     """
     _require_int(order, "order", 2)
     _require_int(roots_max_d, "roots_max_d", 1, _ROOTS_MAX_D)
     # needed anyway, and built first: an order no list can hold fails here
     closed = closed_form_series(order)
-    # cascade step k and sweep factor k each update max(0, order - 2k)
-    # entries: m * (order - m - 1) in steps 1..m, for m <= order/2
-    half = order // 2
-    total = half * (order - half - 1)
-    m = (min(range(half + 1), key=lambda j: abs(total - 2 * j * (order - j - 1)))
-         if _use_worker(total) else order)
-
-    def far_end() -> tuple[int, ...]:
-        return product_range(m + 1, order, order).coeffs
-
+    m = isqrt(order)
+    product = partial_product(order, order).coeffs
+    quotient = next(islice(_cascade(closed), m, None))
+    remaining = product_range(m + 1, order, order).coeffs
     results = []
-    with _forked((far_end,)) if m < order else nullcontext((far_end(),)) as answers:
-        product = partial_product(order, order).coeffs
-        quotient = next(islice(_cascade(closed), m, None))
-        (remaining,) = answers
     e = next((i for i, a in enumerate(closed.coeffs) if a != product[i]), None)
     results.append(CheckResult("closed form equals product", e is None, (
         f"order {order}" if e is None else

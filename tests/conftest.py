@@ -26,9 +26,9 @@ def broken_reduce_step(monkeypatch):
 
 
 def use_worker(monkeypatch, choice: bool) -> None:
-    """Make every telescope, verify and partitions run fork a worker
-    (True) or stay in this process (False), whatever its size."""
-    for module in (pentagon.partitions, pentagon.telescope, pentagon.verify):
+    """Make every telescope and partitions run fork a worker (True) or
+    stay in this process (False), whatever its size."""
+    for module in (pentagon.partitions, pentagon.telescope):
         monkeypatch.setattr(module, "_use_worker", lambda updates: choice)
 
 
@@ -59,9 +59,9 @@ def hang_guard():
 
 @pytest.fixture
 def one_process(monkeypatch):
-    """Keep every telescope, verify and partitions run in this process, so
-    spies see all of its work: no run forks a worker for its later
-    stages, the far end of its division cascade or its far sums."""
+    """Keep every telescope and partitions run in this process, so spies
+    see all of its work: no run forks a worker for its later stages or
+    its far sums."""
     use_worker(monkeypatch, False)
 
 

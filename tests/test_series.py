@@ -2,6 +2,7 @@
 
 import dataclasses
 import sys
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -32,6 +33,7 @@ from pentagon.series import (
     to_sparse_json,
 )
 from pentagon.telescope import DerivationTrace, expand_tail, initial_tail
+from pentagon.verify import _cascade
 
 
 @st.composite
@@ -501,6 +503,53 @@ def test_product_range_empty_is_unit():
 def test_product_range_matches_the_ascending_chain(first, last, order):
     expected = ascending_product_range(first, last, order)
     assert product_range(first, last, order).coeffs == expected
+
+
+def test_tail_range_matches_the_ascending_chain():
+    # first > 1 and last >= order expands the product by the number of
+    # factors taken; every first up to two past the order, where the
+    # first offset already lies above it. Factors above the order are
+    # identities, so both lasts share one chain
+    for order in range(151):
+        for first in range(2, order + 3):
+            expected = ascending_product_range(first, order, order)
+            for last in (order, order + 3):
+                assert product_range(first, last, order).coeffs == expected, (
+                    order, first, last)
+
+
+@pytest.mark.parametrize("m", (1, 2, 38, 214, 749, 750, 1499, 1500))
+def test_tail_range_is_the_cascade_quotient_after_step_m(m):
+    # the quotient of the closed form by (1 - x)...(1 - x^m), which
+    # full_verification compares with this tail at m = isqrt(order)
+    quotient = next(islice(_cascade(closed_form_series(1500)), m, None))
+    assert product_range(m + 1, 1500, 1500).coeffs == tuple(quotient)
+
+
+def test_tail_range_divides_once_and_adds_once_per_factor_count(monkeypatch):
+    # step j divides the running quotient, cut to the 2001 - off_j
+    # entries below x^2001, once by (1 - x^j) and adds it at
+    # off_j = 44j + j(j+1)/2 with sign (-1)^j; off_33 = 2013 > 2000
+    expected = ascending_product_range(45, 2000, 2000)
+    divisions, adds = [], []
+    divide, add_shifted = pentagon.series._div_binomial_inplace, pentagon.series._add_shifted
+
+    def counted_divide(coeffs, k, start=None):
+        divisions.append((k, start, len(coeffs)))
+        divide(coeffs, k, start)
+
+    def counted_add(out, e, c, a):
+        adds.append((e, c, len(out) - e))
+        add_shifted(out, e, c, a)
+
+    monkeypatch.setattr(pentagon.series, "_div_binomial_inplace", counted_divide)
+    monkeypatch.setattr(pentagon.series, "_add_shifted", counted_add)
+    assert product_range(45, 2000, 2000).coeffs == expected
+    offsets = [44 * j + j * (j + 1) // 2 for j in range(1, 33)]
+    assert divisions == [(j, None, 2001 - off) for j, off in enumerate(offsets, 1)]
+    assert adds == [(off, (-1) ** j, 2001 - off) for j, off in enumerate(offsets, 1)]
+    assert sum(max(0, length - k) for k, _, length in divisions) == 34_288
+    assert sum(length for _, _, length in adds) == 34_816
 
 
 def test_full_product_path_matches_the_ascending_chain():

@@ -1,11 +1,13 @@
 """Division cascade, root multiplicities, and the bundled check suite."""
 
 import math
+import os
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-import pentagon._worker
+import pentagon.series
 import pentagon.verify
 from pentagon.pentagonal import closed_form_series
 from pentagon.series import (
@@ -18,7 +20,7 @@ from pentagon.series import (
 )
 from pentagon.verify import CheckResult, _first_root_mismatch, full_verification
 
-from conftest import assert_no_child_left, hang_guard, use_worker
+from conftest import assert_no_child_left
 
 
 def cascade_quotients(order):
@@ -58,7 +60,7 @@ def test_cascade_starts_every_step_of_the_closed_form_at_2k_plus_1(monkeypatch):
     assert starts == [(k, 2 * k + 1) for k in range(1, 301)]
 
 
-def test_cascade_work_budget(division_updates, one_process):
+def test_cascade_work_budget(division_updates):
     # from 2k + 1 step k updates N - 2k entries, N^2/4 - N/2 in all;
     # full divisions from k would update about N^2/2
     *_, last = pentagon.verify._cascade(closed_form_series(2000))
@@ -201,9 +203,8 @@ def test_partial_product_value_at_one_is_zero_like():
 
 
 @pytest.fixture
-def parent_factors(monkeypatch):
-    """The cascade factors this process divides by; a forked worker's
-    calls land in its own copy of the list."""
+def cascade_factors(monkeypatch):
+    """The factors the cascade divides by, in turn."""
     factors = []
     divide = pentagon.verify._div_binomial_inplace
 
@@ -215,27 +216,70 @@ def parent_factors(monkeypatch):
     return factors
 
 
-@pytest.mark.parametrize("order", (500, 1500), ids=("below", "above"))
-def test_a_worker_returns_what_one_process_returns(monkeypatch, parent_factors,
-                                                  order):
-    # order 500 is below the worker's break-even and 1500 above it; the
-    # split is forced on both sides, and must change nothing
-    half = order // 2
-    updates = half * (order - half - 1)
-    assert (updates >= pentagon._worker._WORKER_UPDATES) == (order == 1500)
-    use_worker(monkeypatch, False)
-    alone = full_verification(order, 8)
-    assert parent_factors == list(range(1, order + 1))
-    use_worker(monkeypatch, True)
-    parent_factors.clear()
-    with hang_guard():
-        assert full_verification(order, 8) == alone
+@pytest.mark.parametrize("order", (500, 1500))
+def test_full_verification_never_forks(monkeypatch, cascade_factors, order):
+    # a verify run does all of its work in this process, at any order
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a worker was forked"))
+    assert all(c.passed for c in full_verification(order, 8))
+    assert cascade_factors == list(range(1, math.isqrt(order) + 1))
     assert_no_child_left()
-    # this process divided up to the step that splits the updates evenly
-    m = len(parent_factors)
-    assert parent_factors == list(range(1, m + 1))
-    assert abs(2 * m * (order - m - 1) - updates) <= order
-    assert 0.14 < m / order < 0.15
+
+
+def test_ctrl_c_mid_cascade_stops_the_run_and_leaves_no_child(monkeypatch):
+    # step 20 is within the cascade's isqrt(1500) = 38 steps
+    divide = pentagon.verify._div_binomial_inplace
+
+    def interrupted(coeffs, k, *args):
+        if k == 20:
+            raise KeyboardInterrupt
+        divide(coeffs, k, *args)
+
+    monkeypatch.setattr(pentagon.verify, "_div_binomial_inplace", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        full_verification(1500, 8)
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+def test_verify_work_grows_as_order_to_the_three_halves(monkeypatch, division_updates):
+    # the cascade's updates through verify's binding of the division
+    # kernel, and those of its product_range(m + 1, N, N) call through
+    # series' bindings of the division and addition kernels; from 2000 to
+    # 8000, N^1.5 grows 8-fold and N^2 16-fold
+    divisions, additions = [], []
+    divide, add_shifted = pentagon.series._div_binomial_inplace, pentagon.series._add_shifted
+    build = pentagon.verify.product_range
+
+    def counted_divide(coeffs, k, start=None):
+        divisions.append(max(0, len(coeffs) - (k if start is None else start)))
+        divide(coeffs, k, start)
+
+    def counted_add(out, e, c, a):
+        additions.append(len(out) - e)
+        add_shifted(out, e, c, a)
+
+    def counted_build(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(pentagon.series, "_div_binomial_inplace", counted_divide)
+            patch.setattr(pentagon.series, "_add_shifted", counted_add)
+            return build(*args)
+
+    monkeypatch.setattr(pentagon.verify, "product_range", counted_build)
+    totals = []
+    for order in (2000, 8000):
+        for counts in (division_updates, divisions, additions):
+            counts.clear()
+        assert all(c.passed for c in full_verification(order, 6))
+        totals.append(sum(division_updates) + sum(divisions) + sum(additions))
+        if order == 2000:
+            assert len(division_updates) == 44
+            assert sum(division_updates) == 86_020
+            assert len(divisions) == len(additions) == 32
+            assert sum(divisions) == 34_288
+            assert sum(additions) == 34_816
+    assert totals[0] == 155_124
+    assert totals[1] / totals[0] < 8.5
 
 
 def corrupt_product(monkeypatch):
@@ -278,20 +322,16 @@ def skip_root_factor(monkeypatch):
 def test_each_corruption_fails_only_its_own_check(monkeypatch, corrupt, failing,
                                                   detail):
     # each check reads its own input: the product, the cascade's quotient
-    # against the factors left, or the root product; above the worker's
-    # break-even the detail reads the same with or without the worker
+    # against the factors left, or the root product; the detail reads the
+    # same at a small order and a large one
     corrupt(monkeypatch)
-    for order, worker in ((60, False), (1500, False), (1500, True)):
-        use_worker(monkeypatch, worker)
-        with hang_guard():
-            checks = full_verification(order, 6)
+    for order in (60, 1500):
+        checks = full_verification(order, 6)
         assert [c.passed for c in checks] == [i != failing for i in range(3)]
         assert checks[failing].detail == detail
-        assert_no_child_left()
 
 
-def test_full_verification_adds_shifted_only_for_the_root_product(monkeypatch,
-                                                                  one_process):
+def test_full_verification_adds_shifted_only_for_the_root_product(monkeypatch):
     calls = []
     original = pentagon.verify._add_shifted
 
@@ -305,17 +345,10 @@ def test_full_verification_adds_shifted_only_for_the_root_product(monkeypatch,
     assert calls == [(d, -1) for d in range(1, 7)]
 
 
-def test_full_verification_divides_once_per_factor(monkeypatch, one_process):
-    factors = []
-    original = pentagon.verify._div_binomial_inplace
-
-    def recorded(coeffs, k, *args):
-        factors.append(k)
-        original(coeffs, k, *args)
-
-    monkeypatch.setattr(pentagon.verify, "_div_binomial_inplace", recorded)
+def test_full_verification_divides_once_per_factor(cascade_factors):
+    # up to m = isqrt(300) = 17; product_range builds the factors above it
     assert all(c.passed for c in full_verification(300, 6))
-    assert factors == list(range(1, 301))
+    assert cascade_factors == list(range(1, math.isqrt(300) + 1))
 
 
 def test_roots_up_to_d_150_pass_where_a_float_tolerance_failed():

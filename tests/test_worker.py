@@ -1,6 +1,6 @@
-"""The forked worker that telescope, verify and partitions share: when it
-is used, what it answers, and that no run leaves it behind however the
-run ends."""
+"""The forked worker that telescope and partitions share: when it is
+used, what it answers, and that no run leaves it behind however the run
+ends."""
 
 import errno
 import marshal
@@ -13,19 +13,17 @@ import pytest
 import pentagon._worker
 import pentagon.partitions
 import pentagon.telescope
-import pentagon.verify
 from pentagon.partitions import partitions_recurrence
 from pentagon.telescope import replay_stages, run_telescope
 from pentagon.verify import full_verification
 
 from conftest import alarm, assert_no_child_left, hang_guard, use_worker
 
-MODULES = (pentagon.partitions, pentagon.telescope, pentagon.verify)
+MODULES = (pentagon.partitions, pentagon.telescope)
 
 # Each run is above the worker's break-even; the partition table at
 # 10000 divides alone to 1500 and leaves the worker 25 blocks.
 RUNS = {
-    "verify": lambda: full_verification(1500, 8),
     "telescope": lambda: run_telescope(1, 1500),
     "partitions": lambda: partitions_recurrence(10000),
 }
@@ -368,32 +366,6 @@ def test_a_reader_stops_awaiting_a_log_whose_writer_is_gone():
     with pentagon._worker._Log() as log:
         with pytest.raises(EOFError, match="^the log has no writer left$"):
             log.receive()
-
-
-def test_ctrl_c_mid_cascade_kills_the_worker_rather_than_await_it(monkeypatch):
-    divide = pentagon.verify._div_binomial_inplace
-    build = pentagon.verify.product_range
-    parent = os.getpid()
-
-    def interrupted(coeffs, k, *args):
-        if k == 100:
-            raise KeyboardInterrupt
-        divide(coeffs, k, *args)
-
-    def stalled(*args):
-        if os.getpid() != parent:
-            time.sleep(60)
-        return build(*args)
-
-    monkeypatch.setattr(pentagon.verify, "_div_binomial_inplace", interrupted)
-    monkeypatch.setattr(pentagon.verify, "product_range", stalled)
-    for worker in (False, True):
-        use_worker(monkeypatch, worker)
-        start = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            RUNS["verify"]()
-        assert time.monotonic() - start < 30
-        assert_no_child_left()
 
 
 def test_ctrl_c_while_awaiting_far_sums_kills_the_worker(monkeypatch):
