@@ -156,8 +156,8 @@ def partitions_oracle_dp(n_max: int) -> PartitionTable:
     a = total[:]
     for s in range(1, isqrt(n_max) + 1):
         del a[n_max - s * s + 1:]
-        _div_binomial_inplace(a, s, s)
-        _div_binomial_inplace(a, s, s)
+        _div_binomial_inplace(a, s)
+        _div_binomial_inplace(a, s)
         total[s * s:] = map(_int_add, total[s * s:], a)
     return PartitionTable(tuple(total))
 

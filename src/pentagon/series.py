@@ -168,11 +168,10 @@ def _div_binomial_inplace(coeffs: list[int], k: int, start: int | None = None) -
     """coeffs /= (1 - x^k) modulo x^len(coeffs): q_i = a_i + q_(i-k).
 
     Updates begin at ``start`` >= k, by default k, below which q_i = a_i.
-    A later start is exact when every entry below it already holds q_i:
-    the verify cascade passes 2k + 1 for a list 1 + 0*x + ... + 0*x^k +
-    O(x^(k+1)), whose q_i is a_i + 0 up to x^(2k); ``_tail_coeffs``
-    passes k past a head. The partition oracle and ``product_range``'s
-    tail ranges divide from k.
+    A later start is exact when every entry below it already holds q_i;
+    ``_tail_coeffs`` is the one caller that passes one, k past a head.
+    The verify cascade, the partition oracle and ``product_range``
+    divide from k.
 
     One C-level pass: the entries from start are cut off, and ``extend``
     appends each a_i + q_(i-k), read through an iterator over the list
@@ -273,31 +272,29 @@ def product_range(first: int, last: int, order: int) -> TruncatedSeries:
     """prod of (1 - x^k) for k = first..last, modulo x^(order+1).
 
     An empty range (last < first) gives the unit series. Factors with
-    k > order are identities at this order and are skipped. A partial
-    range (last < order) applies its factors largest first, so before
-    factor k the running product is 1 plus terms of degree > k:
-    multiplying by (1 - x^k) subtracts x^k and x^k times those terms,
-    which start at degree 2k + 1, so the sweep decrements x^k and
-    subtracts a copy of the list from x^(k+1) up, shifted to start at
-    x^(2k+1); the copy holds just the order - 2k old entries that land
-    below x^(order+1), all read before any is stored. Factor k thus
-    costs max(0, order - 2k) updates past its decrement: about
-    order^2/4 in all, where applying the factors smallest first costs
-    about order^2/2. An order too large for a list raises ValueError.
+    k > order are identities at this order. An order too large for a
+    list raises ValueError.
 
-    A tail range (first = f > 1 and last >= order) is expanded by the
-    number j of factors taken instead: prod_(k>=f)(1 - x^k) is the sum
-    over j of (-1)^j x^(j(f-1) + j(j+1)/2) / ((1 - x)...(1 - x^j)).
-    Proof: for parts k_1 < ... < k_j, all >= f, set
-    lambda_i = k_i - (f - 1) - i; then 0 <= lambda_1 <= ... <= lambda_j,
-    a partition into at most j parts, counted by 1/((1 - x)...(1 - x^j)),
-    and the k_i sum to j(f-1) + j(j+1)/2 + |lambda|. One running list
-    holds that quotient: step j cuts it to the order + 1 - off entries
-    that land below x^(order+1) from off = j(f-1) + j(j+1)/2, divides it
-    once by (1 - x^j) and adds it with sign (-1)^j at x^off. With J the
-    last j whose off is <= order, at most order/f, that is about
-    2 * order * J updates, against about order^2/4 for the sweep, so a
-    tail from f near sqrt(order) costs about 2 * order^1.5.
+    Every range but the full product is expanded by the number j of
+    factors taken, by the finite q-binomial theorem (Andrews, The Theory
+    of Partitions, ch. 3): with n = last - first + 1 and f = first, the
+    product is the sum over j of (-1)^j x^(j(f-1) + j(j+1)/2) [n over j],
+    where [n over j] = ((1 - x^n)...(1 - x^(n-j+1))) / ((1 - x)...(1 - x^j))
+    is the Gaussian binomial. Proof: for parts f <= k_1 < ... < k_j <=
+    last, set lambda_i = k_i - (f - 1) - i; then
+    0 <= lambda_1 <= ... <= lambda_j <= n - j, a partition into at most
+    j parts, each at most n - j, counted by [n over j], and the k_i sum
+    to j(f-1) + j(j+1)/2 + |lambda|. One running list holds
+    [n over j]: step j cuts it to the order + 1 - off entries that land
+    below x^(order+1) from off = j(f-1) + j(j+1)/2, multiplies it by
+    (1 - x^(n-j+1)) while that exponent lies inside it, divides it once
+    by (1 - x^j) and adds it with sign (-1)^j at x^off. With J the last
+    j whose off is <= order, at most min(n, order/f), that is about
+    2 * order * J updates, and up to 3 * order * J with the multiplies.
+    A tail range (last >= order) never multiplies, as n - j + 1 lies
+    past the list, so a tail from f near sqrt(order) costs about
+    2 * order^1.5. A partial range from f = 1 has J about
+    sqrt(2 * order); a short one costs about three passes per factor.
 
     The full product P (first == 1 and last >= order) comes from its
     logarithmic derivative instead, as in Euler's E175: x*P'/P is
@@ -317,16 +314,7 @@ def product_range(first: int, last: int, order: int) -> TruncatedSeries:
     _require_int(last, "last")
     cur = _zeros(order)
     cur[0] = 1
-    if first > 1 and last >= order:
-        run, off = cur[:], 0
-        for j in count(1):
-            off += first - 1 + j
-            if off > order:
-                break
-            del run[order + 1 - off:]
-            _div_binomial_inplace(run, j)
-            _add_shifted(cur, off, -1 if j % 2 else 1, run)
-    elif first == 1 and last >= order:
+    if first == 1 and last >= order:
         sums = _divisor_sums(order)
         sigma = sums[1:]
         support = {1: [0]}
@@ -346,9 +334,17 @@ def product_range(first: int, last: int, order: int) -> TruncatedSeries:
                     if n + 1 < n1:
                         _add_shifted(acc, i + 1, c, sigma)
     else:
-        for k in range(min(last, order), first - 1, -1):
-            cur[k] -= 1
-            _add_shifted(cur, 2 * k + 1, -1, cur[k + 1:order - k + 1])
+        n = last - first + 1
+        run, off = cur[:], 0
+        for j in range(1, n + 1):
+            off += first - 1 + j
+            if off > order:
+                break
+            del run[order + 1 - off:]
+            if n - j + 1 < len(run):
+                _add_shifted(run, n - j + 1, -1, run)
+            _div_binomial_inplace(run, j)
+            _add_shifted(cur, off, -1 if j % 2 else 1, run)
     return TruncatedSeries(tuple(cur))
 
 
@@ -361,11 +357,11 @@ def partial_product(m: int, order: int) -> TruncatedSeries:
     from earlier blocks are gathered as rows of sigma and added in C, so
     the Python-level passes run over one block, not the whole series. The
     tests check it against the ascending chain of binomial multiplies for
-    several block lengths. With m < order it is the single largest-first
-    sweep, about order^2/4 updates at most. It never takes the tail
-    ranges' expansion by the number of factors taken, which starts at
-    first > 1: ``full_verification`` checks that expansion against the
-    division cascade of the closed form.
+    several block lengths. With m < order it is the q-binomial loop,
+    about 3 * order * min(m, sqrt(2 * order)) updates at most. The tail
+    ranges (first > 1) share that loop but never come through here:
+    ``full_verification`` checks them against the division cascade of
+    the closed form.
     """
     _require_int(m, "m", 1)
     return product_range(1, m, order)

@@ -9,19 +9,15 @@ floor(m/d) is not checked). Both the cascade and the vanishing are
 decided in exact integers, the roots in Z[x]/(x^d - 1).
 
 The cascade divides a single coefficient list in place, one C-level
-pass per factor, and yields that list after each step. Before step
-k a correct quotient is 1 - x^k + O(x^(k+1)), so the division only
-clears x^k and updates the coefficients above x^(2k): about order^2/4
-updates in all instead of order^2/2, and a single assignment for
-k > order/2. A list without that head, which only a wrong quotient has,
-is divided in full from there on, so every step is exact. As division by
-(1 - x^k) is exact and invertible, the quotient Q_m after step m is the
-product R_m of the factors above m exactly when the input is the
-product P; ``full_verification`` compares the two at m = isqrt(order).
-Steps 1..m cost about m * order updates, and ``product_range`` builds
-R_m by the number of factors taken, about 2 * order * (order/m), so
-the check does about 2 * order^1.5 updates, in this process, where
-dividing to the end costs order^2/4. Q_m - R_m is (input - P) times a
+pass per factor from x^k up, and yields that list after each step, so
+every step is exact for any input. As division by (1 - x^k) is exact
+and invertible, the quotient Q_m after step m is the product R_m of the
+factors above m exactly when the input is the product P;
+``full_verification`` compares the two at m = isqrt(order). Steps 1..m
+cost m * order - m(m-1)/2 updates, and ``product_range`` builds R_m by
+the number of factors taken, about 2 * order * (order/m), so the check
+does about 2 * order^1.5 updates, in this process, where dividing to
+the end costs order(order+1)/2. Q_m - R_m is (input - P) times a
 unit for every m, so a wrong input shows at the same first exponent
 whatever m is. The root check builds
 P_m = prod_(k<=m)(1 - x^k) once through the series kernel
@@ -52,28 +48,14 @@ def _cascade(series: TruncatedSeries) -> Iterator[list[int]]:
     Every step yields the same list, divided in place; a caller copies
     what it keeps before asking for the next step.
 
-    While the list is 1 + 0*x + ... + 0*x^(k-1) + O(x^k), as every
-    remaining product is, and its x^k term is -1, step k sets that term
-    to 0 and divides from x^(2k+1) up: q_i = a_i + q_(i-k) adds only the
-    zeros at x^1..x^k to x^(k+1)..x^(2k), so those entries are already
-    the quotient's, and the result starts 1 + 0*x + ... + 0*x^k again.
-    The first step that finds another head divides in full, as does
-    every step after it, so each quotient is exact for any input.
-
-    On the head path the steps do about order^2/4 coefficient updates in
-    all, against order^2/2 for full divisions, each step one C-level
-    pass of the kernel with no Python-level loop.
+    Step k divides in full from x^k, one C-level pass of the kernel with
+    no Python-level loop, so each quotient is exact for any input. Steps
+    1..m update m*order - m(m-1)/2 coefficients.
     """
     coeffs = list(series.coeffs)
     yield coeffs
-    unit_head = coeffs[0] == 1
     for k in range(1, series.order + 1):
-        if unit_head and coeffs[k] == -1:
-            coeffs[k] = 0
-            _div_binomial_inplace(coeffs, k, 2 * k + 1)
-        else:
-            unit_head = False
-            _div_binomial_inplace(coeffs, k)
+        _div_binomial_inplace(coeffs, k)
         yield coeffs
 
 

@@ -117,7 +117,8 @@ def test_dp_matches_ascending_knapsack_sampled(n):
 @pytest.mark.parametrize("n_max", (0, 1, 3, 4, 300))
 def test_dp_divides_twice_per_durfee_square_from_s(monkeypatch, n_max):
     # side s: the list is cut to the n_max - s^2 + 1 entries from x^(s^2)
-    # and divided twice by (1 - x^s), for s = 1..isqrt(n_max)
+    # and divided twice by (1 - x^s), for s = 1..isqrt(n_max), from x^s:
+    # the kernel's default start, so no start is passed
     calls = []
     original = pentagon.partitions._div_binomial_inplace
 
@@ -128,7 +129,7 @@ def test_dp_divides_twice_per_durfee_square_from_s(monkeypatch, n_max):
     monkeypatch.setattr(pentagon.partitions, "_div_binomial_inplace", recorded)
     partitions_oracle_dp(n_max)
     sides = range(1, math.isqrt(n_max) + 1)
-    assert calls == [(n_max - s * s + 1, s, s) for s in sides for _ in range(2)]
+    assert calls == [(n_max - s * s + 1, s) for s in sides for _ in range(2)]
 
 
 def test_dp_work_budget(monkeypatch, division_updates):

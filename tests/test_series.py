@@ -271,24 +271,44 @@ def test_add_shifted_from_a_later_start_finishes_the_product(case, data):
     assert coeffs == expected
 
 
-def spy_on_add_shifted(monkeypatch):
-    """Record (e, c) of every call to the multiplication kernel."""
+def spy_on_kernels(monkeypatch):
+    """Record, in call order, every call series makes to the division
+    kernel, as ("divide", k, start, len(coeffs)), and to the
+    multiplication kernel, as ("add", e, c, entries updated)."""
     calls = []
-    original = pentagon.series._add_shifted
+    divide, add_shifted = pentagon.series._div_binomial_inplace, pentagon.series._add_shifted
 
-    def recorded(out, e, c, a):
-        calls.append((e, c))
-        original(out, e, c, a)
+    def counted_divide(coeffs, k, start=None):
+        calls.append(("divide", k, start, len(coeffs)))
+        divide(coeffs, k, start)
 
-    monkeypatch.setattr(pentagon.series, "_add_shifted", recorded)
+    def counted_add(out, e, c, a):
+        calls.append(("add", e, c, len(out) - e))
+        add_shifted(out, e, c, a)
+
+    monkeypatch.setattr(pentagon.series, "_div_binomial_inplace", counted_divide)
+    monkeypatch.setattr(pentagon.series, "_add_shifted", counted_add)
     return calls
 
 
-def test_partial_range_sweep_starts_every_factor_at_2k_plus_1(monkeypatch):
+def test_partial_range_takes_the_q_binomial_steps_in_order(monkeypatch):
+    # n = 36 factors from f = 5: step j cuts the running Gaussian binomial
+    # to the 61 - off_j entries below x^61, off_j = 4j + j(j+1)/2,
+    # multiplies it by (1 - x^(37-j)) while 37 - j lies inside it,
+    # divides it once by (1 - x^j) and adds it at off_j with sign (-1)^j;
+    # from j = 5 on, 37 - j is past the list; off_8 = 68 > 60
     reference = ascending_product_range(5, 40, 60)
-    calls = spy_on_add_shifted(monkeypatch)
+    calls = spy_on_kernels(monkeypatch)
     assert product_range(5, 40, 60).coeffs == reference
-    assert calls == [(2 * k + 1, -1) for k in range(40, 4, -1)]
+    assert calls == [
+        ("add", 36, -1, 20), ("divide", 1, None, 56), ("add", 5, -1, 56),
+        ("add", 35, -1, 15), ("divide", 2, None, 50), ("add", 11, 1, 50),
+        ("add", 34, -1, 9), ("divide", 3, None, 43), ("add", 18, -1, 43),
+        ("add", 33, -1, 2), ("divide", 4, None, 35), ("add", 26, 1, 35),
+        ("divide", 5, None, 26), ("add", 35, -1, 26),
+        ("divide", 6, None, 16), ("add", 45, 1, 16),
+        ("divide", 7, None, 5), ("add", 56, -1, 5),
+    ]
 
 
 @given(kernel_cases())
@@ -509,11 +529,17 @@ def test_tail_range_matches_the_ascending_chain():
     # first > 1 and last >= order expands the product by the number of
     # factors taken; every first up to two past the order, where the
     # first offset already lies above it. Factors above the order are
-    # identities, so both lasts share one chain
+    # identities, so both lasts share one chain. Up to order 60 every
+    # partial range too, from first 1 and from last = first - 2, an empty
+    # range, on: chain[i] is the product of the first i factors from first
     for order in range(151):
-        for first in range(2, order + 3):
-            expected = ascending_product_range(first, order, order)
-            for last in (order, order + 3):
+        for first in range(1 if order <= 60 else 2, order + 3):
+            chain = [one(order)]
+            for k in range(first, order + 1):
+                chain.append(mul_binomial(chain[-1], k, -1))
+            lasts = range(first - 2, order + 4) if order <= 60 else (order, order + 3)
+            for last in lasts:
+                expected = chain[max(0, min(last, order) - first + 1)].coeffs
                 assert product_range(first, last, order).coeffs == expected, (
                     order, first, last)
 
@@ -554,7 +580,7 @@ def test_tail_range_divides_once_and_adds_once_per_factor_count(monkeypatch):
 
 def test_full_product_path_matches_the_ascending_chain():
     # last >= order reads the product off its logarithmic derivative,
-    # last = order - 1 takes the single sweep
+    # last = order - 1 takes the q-binomial loop
     for order in (*range(301), 2000, 2500):
         expected = ascending_product_range(1, order, order)
         for last in (order, order + 3):
@@ -569,8 +595,8 @@ def test_full_product_gathers_per_block_and_pushes_within_it(monkeypatch, block,
     # at the start of each block, one (0, c) pass per coefficient value
     # found before it adds that group's sigma rows; inside the block, each
     # nonzero p_n but the block's last adds p_n * sigma from the next slot
-    # on; every pass runs over one block, no sweep pass runs, and no
-    # division kernel runs. At 7, p_7 and p_301 are the last of a block
+    # on; every pass runs over one block and no division kernel runs,
+    # so no q-binomial step runs. At 7, p_7 and p_301 are the last of a block
     monkeypatch.setattr(pentagon.series, "_BLOCK", block)
     calls, rows = [], []
     add_shifted, divisor_sums = pentagon.series._add_shifted, pentagon.series._divisor_sums

@@ -46,7 +46,7 @@ def test_cascade_intermediates_match_remaining_products():
             assert q == list(product_range(m + 1, order, order).coeffs), (order, m)
 
 
-def test_cascade_starts_every_step_of_the_closed_form_at_2k_plus_1(monkeypatch):
+def test_cascade_divides_every_step_of_the_closed_form_from_k(monkeypatch):
     starts = []
     original = pentagon.verify._div_binomial_inplace
 
@@ -57,16 +57,18 @@ def test_cascade_starts_every_step_of_the_closed_form_at_2k_plus_1(monkeypatch):
     monkeypatch.setattr(pentagon.verify, "_div_binomial_inplace", recorded)
     *_, last = pentagon.verify._cascade(closed_form_series(300))
     assert last == [1] + [0] * 300
-    assert starts == [(k, 2 * k + 1) for k in range(1, 301)]
+    # no step passes a start: every one divides in full from x^k
+    assert starts == [(k,) for k in range(1, 301)]
 
 
 def test_cascade_work_budget(division_updates):
-    # from 2k + 1 step k updates N - 2k entries, N^2/4 - N/2 in all;
-    # full divisions from k would update about N^2/2
+    # from k step k updates the N + 1 - k entries of x^k..x^N, N(N+1)/2
+    # in all; only tests run the cascade to its end, as full_verification
+    # stops it at m = isqrt(N)
     *_, last = pentagon.verify._cascade(closed_form_series(2000))
     assert last == [1] + [0] * 2000
     assert len(division_updates) == 2000
-    assert sum(division_updates) == 2000 ** 2 // 4 - 2000 // 2 == 999_000
+    assert sum(division_updates) == 2000 * 2001 // 2 == 2_001_000
 
 
 @st.composite
@@ -274,11 +276,11 @@ def test_verify_work_grows_as_order_to_the_three_halves(monkeypatch, division_up
         totals.append(sum(division_updates) + sum(divisions) + sum(additions))
         if order == 2000:
             assert len(division_updates) == 44
-            assert sum(division_updates) == 86_020
+            assert sum(division_updates) == 44 * 2000 - 44 * 43 // 2 == 87_054
             assert len(divisions) == len(additions) == 32
             assert sum(divisions) == 34_288
             assert sum(additions) == 34_816
-    assert totals[0] == 155_124
+    assert totals[0] == 156_158
     assert totals[1] / totals[0] < 8.5
 
 
